@@ -178,7 +178,10 @@ def cmd_factorize(args) -> int:
 def cmd_retract(args) -> int:
     tree, mu = _load_tree_and_measure(args)
     word = serialize.word_from_json(tree, mu, _read_json(args.word))
-    tau = parse_frac(args.tau)
+    try:
+        tau = parse_frac(args.tau)
+    except ValueError as e:
+        raise serialize.SchemaError(f"--tau: {e}") from None
     _emit(serialize.word_to_json(retract(word, tau)), args.out)
     return EXIT_OK
 

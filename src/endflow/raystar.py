@@ -207,23 +207,6 @@ class PLMap:
             )
         return deep.a
 
-    def to_json(self):
-        from .extmath import frac_str, mass_str
-
-        return {
-            "pieces": [
-                {
-                    "src": p.src,
-                    "lo": frac_str(p.lo),
-                    "hi": mass_str(p.hi),
-                    "dst": p.dst,
-                    "offset": frac_str(p.a),
-                    "slope": frac_str(p.slope),
-                }
-                for p in self.pieces
-            ]
-        }
-
 
 # -- interval sets ------------------------------------------------------------
 # An interval set is a list of (loc, lo, hi) triples, hi possibly INF.
@@ -385,9 +368,27 @@ class _PLBuilder:
     def __init__(self, star: RayStar):
         self.star = star
         self.pool = star.ray_count
+        self.bounds = [star.bounds(i) for i in range(star.ray_count)]
         lengths = [star.ray_length(i) for i in range(star.ray_count)]
         lengths.append(star.center_mass)
         self.lengths = lengths
+        # edge -> (ray, u, b, v, regions re-combed after the move): a move
+        # across the edge slides line point b between (u, b) and (b, v)
+        self.edge_moves = {}
+        for i, bounds in enumerate(self.bounds):
+            ids = (
+                [star.center_id()]
+                + [star.cell_id(i, k) for k in range(star.depth)]
+                + [star.end_id(i)]
+            )
+            points = [-star.center_mass] + bounds + [lengths[i]]
+            for k in range(star.depth + 1):
+                u, b, v = points[k : k + 3]
+                # the center's own region lives on the pool line
+                first = (self.pool, Zero, star.center_mass) if k == 0 else (i, u, b)
+                self.edge_moves[(ids[k], ids[k + 1])] = (
+                    i, u, b, v, (first, (i, b, v))
+                )
         # identity start: one piece per location
         self.q = [
             [(Zero, lengths[loc], loc, Zero, One)]
@@ -569,44 +570,22 @@ class _PLBuilder:
         self._splice_loc(loc, lo, hi, new_pieces)
 
     def apply_edge_move(self, move: BalloonMove):
-        star = self.star
-        p, c = move.edge
-        for i in range(star.ray_count):
-            bounds = star.bounds(i)
-            if p == star.center_id() and c == star.cell_id(i, 0):
-                self.primitive(i, -star.center_mass, Zero, bounds[1], move.amount)
-                self.comb_region(self.pool, Zero, star.center_mass)
-                self.comb_region(i, Zero, bounds[1])
-                return
-            for k in range(1, star.depth):
-                if p == star.cell_id(i, k - 1) and c == star.cell_id(i, k):
-                    self.primitive(
-                        i, bounds[k - 1], bounds[k], bounds[k + 1], move.amount
-                    )
-                    self.comb_region(i, bounds[k - 1], bounds[k])
-                    self.comb_region(i, bounds[k], bounds[k + 1])
-                    return
-            if p == star.cell_id(i, star.depth - 1) and c == star.end_id(i):
-                self.primitive(
-                    i,
-                    bounds[star.depth - 1],
-                    bounds[star.depth],
-                    star.ray_length(i),
-                    move.amount,
-                )
-                self.comb_region(
-                    i, bounds[star.depth - 1], bounds[star.depth]
-                )
-                self.comb_region(i, bounds[star.depth], star.ray_length(i))
-                return
-        raise TreeMismatchError(f"edge {move.edge!r} is not a star edge")
+        try:
+            ray, u, b, v, regions = self.edge_moves[move.edge]
+        except KeyError:
+            raise TreeMismatchError(
+                f"edge {move.edge!r} is not a star edge"
+            ) from None
+        self.primitive(ray, u, b, v, move.amount)
+        for (loc, lo, hi) in regions:
+            self.comb_region(loc, lo, hi)
 
     def _regions(self, loc: int):
         if loc == self.pool:
             return [(Zero, self.star.center_mass)]
-        bounds = self.star.bounds(loc)
+        bounds = self.bounds[loc]
         out = list(zip(bounds, bounds[1:]))
-        out.append((bounds[-1], self.star.ray_length(loc)))
+        out.append((bounds[-1], self.lengths[loc]))
         return out
 
     def normalize(self):

@@ -3,12 +3,15 @@
 Given an admissible charge, :func:`build_section` produces a
 measure-preserving word whose charge is exactly that charge, with the
 zero charge mapping to the empty word.  The construction alternates two
-words f and g along an exhaustion by depth cuts; at each level
-:func:`align_step` corrects one word against the other outside the inner
-cut, scheduling mass transfers whose feasibility is guaranteed by the
-admissibility of the charge (the open-interval check in
-:func:`solve_balloon_parameter` is a bug sentinel, never a runtime
-branch).  The section yields the kernel factorization
+words f and g along an exhaustion by depth cuts; at each level it
+corrects one word against the other outside the inner cut, scheduling
+mass transfers whose feasibility is guaranteed by the admissibility of
+the charge (the open-interval check in :func:`solve_balloon_parameter`
+is a bug sentinel, never a runtime branch).  :func:`build_section`
+carries the two evaluation states of f and g across the levels and
+collects each word's moves, building the words once at the end; the
+public :func:`align_step` replays two given words and runs one level
+through the same core.  The section yields the kernel factorization
 (:func:`factorize`) and the charge-linear retraction (:func:`retract`).
 """
 
@@ -35,7 +38,7 @@ from .transport import (
     MoveWord,
     Rearrange,
     _Runner,
-    apply_word,
+    _replay,
     charge_of_word,
     concat,
     empty_word,
@@ -46,7 +49,6 @@ from .tree import (
     Region,
     check_region,
     components_outside,
-    frontier_edges,
     region_ends,
 )
 
@@ -180,15 +182,32 @@ def solve_balloon_parameter(
 
 def _donor_order(tree: BalloonTree, runner: _Runner, donors, dest: str):
     """Donors sorted blocks first, then finite tails, then infinite tails,
-    nearest to the destination first."""
-    index = {v: i for i, v in enumerate(tree.nodes)}
+    nearest to the destination first.
+
+    Distances come from one breadth-first pass out of ``dest`` through the
+    donor set, which together with ``dest`` is connected: the remainder
+    of a component feeding one of its deep balloons, or a deep balloon
+    draining into its parent.
+    """
+    index = tree.preorder_index
+    inside = set(donors)
+    dist = {dest: 0}
+    frontier = [dest]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in (tree.parent.get(u), *tree.child_map(u)):
+                if w in inside and w not in dist:
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+        frontier = nxt
 
     def key(v):
         if v in runner.tails:
             kind = 2 if is_inf(runner.tails[v]) else 1
         else:
             kind = 0
-        return (kind, len(tree.path(v, dest)), index[v])
+        return (kind, dist[v], index[v])
 
     return sorted(donors, key=key)
 
@@ -245,6 +264,90 @@ def _check_cut(tree: BalloonTree, cut: Region, name: str):
             raise AlignPreconditionError(f"{name} cut not downward closed")
 
 
+def _align(
+    tree: BalloonTree,
+    inner: Region,
+    outer: Region,
+    runner: _Runner,
+    target_runner: _Runner,
+    charge: EndCharge,
+    out_moves: List,
+):
+    """Advance ``runner`` by one correction level against ``target_runner``,
+    appending the correction moves to ``out_moves``.
+
+    The correction is supported outside the inner cut; afterwards the
+    runner matches the target's state on the outer cut and hits the
+    charge's transfer targets on every component beyond it.  The
+    hypotheses are checked first: the two states agree on the inner cut,
+    and their transfer difference already equals the charge on every
+    component outside the inner cut.  Inside each component the deep
+    balloons are settled one at a time, drawing mass from the
+    not-yet-settled remainder through the feasibility gauge, and a final
+    rearrangement fixes the core to the target state.
+    """
+    inner = check_region(tree, inner)
+    outer = check_region(tree, outer)
+    _check_cut(tree, inner, "inner")
+    _check_cut(tree, outer, "outer")
+    if not inner <= outer:
+        raise AlignPreconditionError("inner cut must lie inside the outer cut")
+
+    for v in inner:
+        if runner.blocks[v] != target_runner.blocks[v]:
+            raise AlignPreconditionError(
+                f"states disagree on inner cut at {v!r}"
+            )
+
+    comps = components_outside(tree, inner)
+    for A in comps:
+        want = charge_eval(charge, region_ends(tree, A))
+        have = runner.region_transfer(A) - target_runner.region_transfer(A)
+        if have != want:
+            raise AlignPreconditionError(
+                f"transfer mismatch on a component outside the inner cut: "
+                f"{have} != {want}"
+            )
+
+    def needed(region) -> Fraction:
+        """Transfer into the region that puts the runner at the charge
+        relative to the target."""
+        return charge_eval(
+            charge, region_ends(tree, region)
+        ) + target_runner.region_transfer(region)
+
+    deep_comps = components_outside(tree, outer)
+    for A in comps:
+        core = A & outer
+        if not core:
+            # the component lies entirely beyond the outer cut; its target
+            # is already met by the hypothesis check above
+            if runner.region_transfer(A) != needed(A):
+                raise AlignPreconditionError(
+                    "untouched component drifted from its target"
+                )
+            continue
+        deeps = [B for B in deep_comps if B <= A]
+        for j, B in enumerate(deeps):
+            target = needed(B) - runner.region_transfer(B)
+            rest = core.union(*deeps[j + 1 :])
+            solve_balloon_parameter(runner.state(), B, rest, target)
+            if target == 0:
+                continue
+            root_b = next(v for v in B if tree.parent.get(v) not in B)
+            if target > 0:
+                _transfer(tree, runner, out_moves, rest, root_b, target)
+            else:
+                _transfer(
+                    tree, runner, out_moves, B, tree.parent[root_b], -target
+                )
+        tau = {v: target_runner.blocks[v] for v in core}
+        if any(runner.blocks[v] != tau[v] for v in core):
+            mv = Rearrange(frozenset(core), tau)
+            runner.apply(mv)
+            out_moves.append(mv)
+
+
 def align_step(
     mu: MeasureState,
     inner: Region,
@@ -257,92 +360,21 @@ def align_step(
     such that word+h matches the target word's state on the outer cut and
     hits the charge's transfer targets on every component beyond it.
 
-    Hypotheses (checked): the two words share the base measure, agree on
-    the inner cut, and their transfer difference already equals the
-    charge on every component outside the inner cut.  Inside each
-    component the deep balloons are settled one at a time, drawing mass
-    from the not-yet-settled remainder through the feasibility gauge,
-    and a final rearrangement fixes the core to the target state.
+    Both words are replayed from the shared base measure and the level is
+    computed by the same core :func:`build_section` runs on its carried
+    states, with the same hypothesis checks (see :func:`_align`).
     """
     tree = mu.tree
     if word.tree != tree or target_word.tree != tree or charge.tree != tree:
         raise TreeMismatchError("alignment inputs live on different trees")
     if word.base != mu or target_word.base != mu:
         raise AlignPreconditionError("words must be based at the given measure")
-    inner = check_region(tree, inner)
-    outer = check_region(tree, outer)
-    _check_cut(tree, inner, "inner")
-    _check_cut(tree, outer, "outer")
-    if not inner <= outer:
-        raise AlignPreconditionError("inner cut must lie inside the outer cut")
-
-    fstate, fflux = apply_word(word)
-    gstate, gflux = apply_word(target_word)
-
-    for v in inner:
-        if fstate.blocks[v] != gstate.blocks[v]:
-            raise AlignPreconditionError(
-                f"states disagree on inner cut at {v!r}"
-            )
-
-    def transfer_into(flux: FluxField, region) -> Fraction:
-        return sum(
-            (sign * flux[e] for (e, sign) in frontier_edges(tree, region)),
-            Fraction(0),
-        )
-
-    comps = components_outside(tree, inner)
-    for A in comps:
-        want = charge_eval(charge, region_ends(tree, A))
-        have = transfer_into(fflux, A) - transfer_into(gflux, A)
-        if have != want:
-            raise AlignPreconditionError(
-                f"transfer mismatch on a component outside the inner cut: "
-                f"{have} != {want}"
-            )
-
-    runner = _Runner(fstate)
-    runner.flux = dict(fflux.flux)
+    runner = _replay(word)
+    target_runner = _replay(target_word)
+    start = runner.state()
     h_moves: List = []
-    deep_comps = components_outside(tree, outer)
-
-    for A in comps:
-        core = A & outer
-        if not core:
-            # the component lies entirely beyond the outer cut; its target
-            # is already met by the hypothesis check above
-            needed = charge_eval(charge, region_ends(tree, A)) + transfer_into(
-                gflux, A
-            )
-            if runner.region_transfer(A) != needed:
-                raise AlignPreconditionError(
-                    "untouched component drifted from its target"
-                )
-            continue
-        deeps = [B for B in deep_comps if B <= A]
-        for j, B in enumerate(deeps):
-            needed = charge_eval(charge, region_ends(tree, B)) + transfer_into(
-                gflux, B
-            )
-            target = needed - runner.region_transfer(B)
-            rest = core.union(*deeps[j + 1 :])
-            solve_balloon_parameter(runner.state(), B, rest, target)
-            if target == 0:
-                continue
-            root_b = next(v for v in B if tree.parent.get(v) not in B)
-            if target > 0:
-                _transfer(tree, runner, h_moves, rest, root_b, target)
-            else:
-                _transfer(
-                    tree, runner, h_moves, B, tree.parent[root_b], -target
-                )
-        tau = {v: gstate.blocks[v] for v in core}
-        if any(runner.blocks[v] != tau[v] for v in core):
-            mv = Rearrange(frozenset(core), tau)
-            runner.apply(mv)
-            h_moves.append(mv)
-
-    return MoveWord(tree, fstate, tuple(h_moves))
+    _align(tree, inner, outer, runner, target_runner, charge, h_moves)
+    return MoveWord(tree, start, tuple(h_moves))
 
 
 def build_section(
@@ -356,9 +388,10 @@ def build_section(
 
     Two words grow alternately along the exhaustion: at each level f is
     corrected against g out to the next cut, then g against f with the
-    negated charge.  Once the cuts exhaust the blocks the two words agree
-    everywhere and differ in transfer by exactly ``a``; the result is f
-    followed by the inverse of g.
+    negated charge.  The evaluation states of f and g are carried from
+    level to level, so no word is replayed.  Once the cuts exhaust the
+    blocks the two words agree everywhere and differ in transfer by
+    exactly ``a``; the result is f followed by the inverse of g.
     """
     if mu.tree != tree or a.tree != tree:
         raise TreeMismatchError("tree, measure and charge must match")
@@ -376,14 +409,17 @@ def build_section(
         levels.append(levels[-1])
     neg_a = scale_charge(Fraction(-1), a)
 
-    f = empty_word(mu)
-    g = empty_word(mu)
+    fr, gr = _Runner(mu), _Runner(mu)
+    f_moves: List = []
+    g_moves: List = []
     prev: Region = frozenset()
     for k in range(0, len(levels), 2):
         K, L = levels[k], levels[k + 1]
-        f = concat(f, align_step(mu, prev, K, f, g, a))
-        g = concat(g, align_step(mu, K, L, g, f, neg_a))
+        _align(tree, prev, K, fr, gr, a, f_moves)
+        _align(tree, K, L, gr, fr, neg_a, g_moves)
         prev = L
+    f = MoveWord(tree, mu, tuple(f_moves))
+    g = MoveWord(tree, mu, tuple(g_moves))
     return concat(f, invert_word(g))
 
 

@@ -118,6 +118,8 @@ def charge_to_json(c: EndCharge) -> dict:
 
 
 def charge_from_json(tree: BalloonTree, doc: dict) -> EndCharge:
+    if not isinstance(doc, dict):
+        raise SchemaError("charge: expected an object")
     values = doc.get("values", doc)
     if not isinstance(values, dict):
         raise SchemaError("charge: expected a values mapping")

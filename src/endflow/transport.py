@@ -272,8 +272,8 @@ def apply_move(
     return r.state(), r.flux_field()
 
 
-def apply_word(word: MoveWord) -> Tuple[MeasureState, FluxField]:
-    """Left fold of the moves from the base state and zero flux.
+def _replay(word: MoveWord) -> _Runner:
+    """A runner left at the word's final state and flux.
 
     Errors raised by a move carry the failing index in ``move_index``.
     """
@@ -284,6 +284,15 @@ def apply_word(word: MoveWord) -> Tuple[MeasureState, FluxField]:
         except Exception as e:
             e.move_index = i
             raise
+    return r
+
+
+def apply_word(word: MoveWord) -> Tuple[MeasureState, FluxField]:
+    """Left fold of the moves from the base state and zero flux.
+
+    Errors raised by a move carry the failing index in ``move_index``.
+    """
+    r = _replay(word)
     return r.state(), r.flux_field()
 
 
@@ -340,11 +349,7 @@ def invert_word(word: MoveWord) -> MoveWord:
 def region_transfer(word: MoveWord, region: Iterable[str]) -> Fraction:
     """Net mass the word moves into a region: signed flux over its
     frontier edges, oriented inward."""
-    _, flux = apply_word(word)
-    total = Fraction(0)
-    for (e, sign) in frontier_edges(word.tree, region):
-        total += sign * flux[e]
-    return total
+    return _replay(word).region_transfer(region)
 
 
 def extensionally_equal(w1: MoveWord, w2: MoveWord) -> bool:

@@ -84,6 +84,11 @@ class BalloonTree:
         return tuple(seen)
 
     @cached_property
+    def preorder_index(self) -> Mapping[str, int]:
+        """Position of each node in :attr:`nodes`."""
+        return {v: i for i, v in enumerate(self.nodes)}
+
+    @cached_property
     def _declared_ids(self) -> Tuple[str, ...]:
         ids = []
         seen = set()

@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -100,6 +103,29 @@ def test_section_rejects_bad_charge(files, tmp_path, capsys):
     assert main(["section", "--tree", files["tree"], "--charge", str(bad)]) == 2
 
 
+def _run_cli(*argv):
+    """Run the CLI as a user does, in a fresh interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "endflow.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "l1", 3, None])
+def test_section_rejects_charge_that_is_not_an_object(files, tmp_path, doc):
+    bad = tmp_path / "bad_charge.json"
+    bad.write_text(json.dumps(doc))
+    proc = _run_cli("section", "--tree", files["tree"], "--charge", str(bad))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("validation error: charge:")
+    assert proc.stdout == ""
+
+
 def test_factorize_command(files, capsys):
     code = main(
         ["factorize", "--tree", files["tree"], "--word", files["word"]]
@@ -133,6 +159,18 @@ def test_retract_command(files, capsys, star_tree):
         "l2": Fraction(-3, 2),
         "l3": 0,
     }
+
+
+@pytest.mark.parametrize("tau", ["0.5", "abc", "1/0", "2"])
+def test_retract_rejects_bad_tau(files, tau):
+    proc = _run_cli(
+        "retract", "--tree", files["tree"], "--word", files["word"], "--tau", tau
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("validation error:")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
 
 
 def test_oracle_command(tmp_path, capsys):

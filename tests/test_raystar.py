@@ -4,12 +4,17 @@ from random import Random
 import pytest
 
 from endflow.charge import EndCharge
-from endflow.errors import ChargeUndefinedError, CutTooShallowError
+from endflow.errors import (
+    ChargeUndefinedError,
+    CutTooShallowError,
+    TreeMismatchError,
+)
 from endflow.extmath import INF
 from endflow.gen import random_preserving_word, random_star
 from endflow.measure import base_state
 from endflow.raystar import (
     RayStar,
+    _PLBuilder,
     charge_from_definition,
     compare_oracle,
     image_intervals,
@@ -103,6 +108,13 @@ def test_realize_requires_preserving(three_star):
     w = MoveWord(tree, mu, (BalloonMove(("c", "r0c0"), Fraction(1)),))
     with pytest.raises(ChargeUndefinedError):
         realize_word(three_star, w)
+
+
+def test_edge_move_off_the_star_is_rejected(three_star):
+    builder = _PLBuilder(three_star)
+    for edge in (("r0c0", "c"), ("r0c0", "r1e"), ("c", "r0e"), ("x", "y")):
+        with pytest.raises(TreeMismatchError):
+            builder.apply_edge_move(BalloonMove(edge, Fraction(1, 2)))
 
 
 def test_compare_oracle_on_section_words(three_star):
