@@ -61,45 +61,49 @@ class Scenario:
 
     @classmethod
     def load(cls, args) -> "Scenario":
+        """Load and validate every file the command names.
+
+        The tree is ``--tree``, else the morphism's source, else the
+        star's tree; the measure defaults to the tree's reference measure.
+        """
         sc = cls()
-        if getattr(args, "tree", None):
-            sc.tree = serialize.tree_from_json(_read_json(args.tree))
-            problems = validate_tree(sc.tree)
-            if problems:
-                raise serialize.SchemaError(
-                    "invalid tree: " + "; ".join(problems)
-                )
-            if getattr(args, "measure", None):
-                sc.measure = serialize.state_from_json(
-                    sc.tree, _read_json(args.measure)
-                )
-                problems = sc.measure.validate()
-                if problems:
-                    raise serialize.SchemaError(
-                        "invalid measure: " + "; ".join(problems)
-                    )
-            else:
-                sc.measure = base_state(sc.tree)
-            if getattr(args, "word", None):
-                sc.word = serialize.word_from_json(
-                    sc.tree, sc.measure, _read_json(args.word)
-                )
-            if getattr(args, "charge", None):
-                sc.charge = serialize.charge_from_json(
-                    sc.tree, _read_json(args.charge)
-                )
         if getattr(args, "morphism", None):
             sc.morphism = serialize.morphism_from_json(
                 _read_json(args.morphism)
             )
+            _require_valid("morphism", sc.morphism.validate())
         if getattr(args, "star", None):
             sc.star = serialize.star_from_json(_read_json(args.star))
+        if getattr(args, "tree", None):
+            sc.tree = serialize.tree_from_json(_read_json(args.tree))
+        elif sc.morphism is not None:
+            sc.tree = sc.morphism.source
+        elif sc.star is not None:
+            sc.tree = sc.star.to_tree()
+        else:
+            return sc
+        _require_valid("tree", validate_tree(sc.tree))
+        if getattr(args, "measure", None):
+            sc.measure = serialize.state_from_json(
+                sc.tree, _read_json(args.measure)
+            )
+            _require_valid("measure", sc.measure.validate())
+        else:
+            sc.measure = base_state(sc.tree)
+        if getattr(args, "word", None):
+            sc.word = serialize.word_from_json(
+                sc.tree, sc.measure, _read_json(args.word)
+            )
+        if getattr(args, "charge", None):
+            sc.charge = serialize.charge_from_json(
+                sc.tree, _read_json(args.charge)
+            )
         return sc
 
 
-def _load_tree_and_measure(args):
-    sc = Scenario.load(args)
-    return sc.tree, sc.measure
+def _require_valid(what: str, problems: list):
+    if problems:
+        raise serialize.SchemaError(f"invalid {what}: " + "; ".join(problems))
 
 
 def _flat_charge(c) -> dict:
@@ -118,6 +122,8 @@ def cmd_validate(args) -> int:
             mu = serialize.state_from_json(tree, _read_json(args.measure))
             report["measure"] = mu.validate()
             ok = ok and not report["measure"]
+    # the charge and word checks need a valid tree and measure
+    if ok:
         if args.charge:
             c = serialize.charge_from_json(tree, _read_json(args.charge))
             report["charge"] = (
@@ -136,35 +142,33 @@ def cmd_validate(args) -> int:
                 ok = False
     if args.morphism:
         pi = serialize.morphism_from_json(_read_json(args.morphism))
-        report["morphism"] = pi.validate()
+        source = [f"source tree: {p}" for p in validate_tree(pi.source)]
+        report["morphism"] = source + pi.validate()
         ok = ok and not report["morphism"]
     if args.star:
-        serialize.star_from_json(_read_json(args.star))
-        report["star"] = []
+        star = serialize.star_from_json(_read_json(args.star))
+        report["star"] = validate_tree(star.to_tree())
+        ok = ok and not report["star"]
     report["valid"] = ok
     _emit(report, args.out)
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
 def cmd_charge(args) -> int:
-    tree, mu = _load_tree_and_measure(args)
-    word = serialize.word_from_json(tree, mu, _read_json(args.word))
-    _emit(_flat_charge(charge_of_word(word)), args.out)
+    sc = Scenario.load(args)
+    _emit(_flat_charge(charge_of_word(sc.word)), args.out)
     return EXIT_OK
 
 
 def cmd_section(args) -> int:
-    tree, mu = _load_tree_and_measure(args)
-    a = serialize.charge_from_json(tree, _read_json(args.charge))
-    word = build_section(tree, mu, a)
+    sc = Scenario.load(args)
+    word = build_section(sc.tree, sc.measure, sc.charge)
     _emit(serialize.word_to_json(word), args.out)
     return EXIT_OK
 
 
 def cmd_factorize(args) -> int:
-    tree, mu = _load_tree_and_measure(args)
-    word = serialize.word_from_json(tree, mu, _read_json(args.word))
-    kernel, a = factorize(word)
+    kernel, a = factorize(Scenario.load(args).word)
     _emit(
         {
             "charge": _flat_charge(a),
@@ -176,47 +180,36 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_retract(args) -> int:
-    tree, mu = _load_tree_and_measure(args)
-    word = serialize.word_from_json(tree, mu, _read_json(args.word))
+    sc = Scenario.load(args)
     try:
         tau = parse_frac(args.tau)
     except ValueError as e:
         raise serialize.SchemaError(f"--tau: {e}") from None
-    _emit(serialize.word_to_json(retract(word, tau)), args.out)
+    _emit(serialize.word_to_json(retract(sc.word, tau)), args.out)
     return EXIT_OK
 
 
 def cmd_push(args) -> int:
-    pi = serialize.morphism_from_json(_read_json(args.morphism))
-    problems = pi.validate()
-    if problems:
-        raise serialize.SchemaError("invalid morphism: " + "; ".join(problems))
-    out = {}
-    mu = base_state(pi.source)
-    if args.measure:
-        mu = serialize.state_from_json(pi.source, _read_json(args.measure))
-    out["measure"] = serialize.state_to_json(push_measure(pi, mu))
-    if args.charge:
-        a = serialize.charge_from_json(pi.source, _read_json(args.charge))
-        out["charge"] = _flat_charge(push_charge(pi, a))
-    if args.word:
-        w = serialize.word_from_json(pi.source, mu, _read_json(args.word))
-        out["word"] = serialize.word_to_json(push_word(pi, w))
+    sc = Scenario.load(args)
+    pi = sc.morphism
+    out = {"measure": serialize.state_to_json(push_measure(pi, sc.measure))}
+    if sc.charge is not None:
+        out["charge"] = _flat_charge(push_charge(pi, sc.charge))
+    if sc.word is not None:
+        out["word"] = serialize.word_to_json(push_word(pi, sc.word))
     _emit(out, args.out)
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    star = serialize.star_from_json(_read_json(args.star))
-    tree = star.to_tree()
-    mu = base_state(tree)
-    word = serialize.word_from_json(tree, mu, _read_json(args.word))
-    h = realize_word(star, word)
-    flux_charge = charge_of_word(word)
+    sc = Scenario.load(args)
+    h = realize_word(sc.star, sc.word)
+    flux_charge = charge_of_word(sc.word)
     cuts = args.cuts if args.cuts else 3
     base_cut = h.last_breakpoint() + 1
     defs = [
-        charge_from_definition(star, h, base_cut + 7 * k) for k in range(cuts)
+        charge_from_definition(sc.star, h, base_cut + 7 * k)
+        for k in range(cuts)
     ]
     match = all(d == flux_charge for d in defs)
     _emit(

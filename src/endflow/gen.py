@@ -18,7 +18,7 @@ from .extmath import INF, ExtMass, is_inf
 from .measure import MeasureState, base_state
 from .morphism import TreeMorphism
 from .raystar import RayStar
-from .transport import BalloonMove, MoveWord, Rearrange, _Runner
+from .transport import MoveWord, Rearrange, _Runner, route
 from .tree import BalloonTree
 
 
@@ -143,7 +143,7 @@ def _connected_block_patch(rng: Random, tree: BalloonTree) -> frozenset:
     patch = {seed}
     for _ in range(rng.randint(0, 4)):
         grow = []
-        for v in patch:
+        for v in sorted(patch):
             p = tree.parent.get(v)
             if p is not None and p not in patch and not tree.is_end_leaf(p):
                 grow.append(p)
@@ -165,11 +165,11 @@ def _random_shuffle_move(
     if len(patch) < 2 or len(tops) != 1:
         return None
     total = sum((runner.blocks[v] for v in patch), Fraction(0))
-    weights = {v: rng.randint(1, 6) for v in patch}
+    order = sorted(patch)
+    weights = {v: rng.randint(1, 6) for v in order}
     wsum = sum(weights.values())
     masses = {}
     acc = Fraction(0)
-    order = sorted(patch)
     for v in order[:-1]:
         masses[v] = total * weights[v] / wsum
         acc += masses[v]
@@ -177,21 +177,6 @@ def _random_shuffle_move(
     if any(m <= 0 for m in masses.values()):
         return None
     return Rearrange(patch, masses)
-
-
-def _transfer_moves(
-    tree: BalloonTree, src_leaf: str, dst_leaf: str, amount: Fraction
-) -> List[BalloonMove]:
-    """Pull ``amount`` out of one tail and push it into another; every
-    intermediate stop receives before it sends, so any amount is safe."""
-    path = tree.path(src_leaf, dst_leaf)
-    out = []
-    for a, b in zip(path, path[1:]):
-        if tree.parent.get(b) == a:
-            out.append(BalloonMove((a, b), amount))
-        else:
-            out.append(BalloonMove((b, a), -amount))
-    return out
 
 
 def random_preserving_word(
@@ -228,7 +213,7 @@ def random_preserving_word(
         src, dst = rng.sample(infinite, 2)
         if set(tree.path(src, dst)) & avoid:
             continue
-        for mv in _transfer_moves(tree, src, dst, small_fraction(rng)):
+        for mv in route(tree, src, dst, small_fraction(rng)):
             runner.apply(mv)
             moves.append(mv)
     for mv in reversed(undo):

@@ -89,10 +89,7 @@ class RayStar:
         return out
 
     def ray_length(self, i: int) -> ExtMass:
-        t = self.tails[i]
-        if is_inf(t):
-            return INF
-        return self.bounds(i)[-1] + t
+        return self.bounds(i)[-1] + self.tails[i]
 
     # node ids of the associated balloon tree
     def center_id(self) -> str:
@@ -179,7 +176,7 @@ class PLMap:
 
     def apply(self, loc: int, x: Fraction) -> Tuple[int, Fraction]:
         for p in self.pieces:
-            if p.src == loc and p.lo <= x and (is_inf(p.hi) or x < p.hi):
+            if p.src == loc and p.lo <= x < p.hi:
                 return (p.dst, p.a + p.slope * x)
         raise ValueError(f"point ({loc}, {x}) outside the map's domain")
 
@@ -210,24 +207,64 @@ class PLMap:
 
 # -- interval sets ------------------------------------------------------------
 # An interval set is a list of (loc, lo, hi) triples, hi possibly INF.
+# ``Inf`` orders above every Fraction under <, ==, min and max, so clipping
+# and merging need no special case for infinite right ends.
+
+
+def _clip(lo, hi, lo2, hi2):
+    """Overlap of [lo, hi) and [lo2, hi2), or None when it is empty."""
+    o_lo, o_hi = max(lo, lo2), min(hi, hi2)
+    return (o_lo, o_hi) if o_lo < o_hi else None
+
+
+def _outside(lo, hi, x0, x1):
+    """The parts of the nonempty [lo, hi) left and right of [x0, x1)."""
+    out = []
+    if lo < x0:
+        out.append((lo, min(hi, x0)))
+    if x1 < hi:
+        out.append((max(lo, x1), hi))
+    return out
+
+
+def _image(a, s, lo, hi):
+    """Image of [lo, hi) under x -> a + s * x.  Negative slopes occur only
+    on bounded pieces."""
+    if s > 0:
+        return a + s * lo, INF if is_inf(hi) else a + s * hi
+    return a + s * hi, a + s * lo
+
+
+def _inverse_piece(src, lo, hi, dst, a, s) -> Piece:
+    """The inverse of the affine piece sending [lo, hi) on src to dst."""
+    i_lo, i_hi = _image(a, s, lo, hi)
+    return Piece(dst, i_lo, i_hi, src, -a / s, 1 / s)
+
+
+def _merge_pieces(pieces):
+    """Join neighbouring (lo, hi, dst, a, s) pieces that carry the same
+    affine map."""
+    merged = []
+    for piece in pieces:
+        last = merged[-1] if merged else None
+        if last and last[1] == piece[0] and last[2:] == piece[2:]:
+            merged[-1] = (last[0], piece[1]) + last[2:]
+        else:
+            merged.append(piece)
+    return merged
 
 
 def iset_normalize(iset):
     by_loc: dict = {}
     for (loc, lo, hi) in iset:
-        if not is_inf(hi) and hi <= lo:
-            continue
-        by_loc.setdefault(loc, []).append((lo, hi))
+        if lo < hi:
+            by_loc.setdefault(loc, []).append((lo, hi))
     out = []
     for loc in sorted(by_loc):
-        ivs = sorted(by_loc[loc], key=lambda t: t[0])
-        merged = [list(ivs[0])]
-        for lo, hi in ivs[1:]:
-            if is_inf(merged[-1][1]) or lo <= merged[-1][1]:
-                if is_inf(hi) or (
-                    not is_inf(merged[-1][1]) and hi > merged[-1][1]
-                ):
-                    merged[-1][1] = hi
+        merged = []
+        for lo, hi in sorted(by_loc[loc], key=lambda t: t[0]):
+            if merged and lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
             else:
                 merged.append([lo, hi])
         out.extend((loc, lo, hi) for lo, hi in merged)
@@ -241,42 +278,22 @@ def iset_subtract(a, b):
     for (loc, lo, hi) in iset_normalize(a):
         parts = [(lo, hi)]
         for (bl, blo, bhi) in b:
-            if bl != loc:
-                continue
-            nxt = []
-            for (l, h) in parts:
-                # overlap (max(l, blo), min(h, bhi))
-                o_lo = max(l, blo)
-                o_hi = h if is_inf(bhi) else (bhi if is_inf(h) else min(h, bhi))
-                if is_inf(o_hi) and not is_inf(h):
-                    o_hi = h
-                if not (o_lo < o_hi or (is_inf(o_hi) and (is_inf(h) or o_lo < h))):
-                    nxt.append((l, h))
-                    continue
-                if l < o_lo:
-                    nxt.append((l, o_lo))
-                if not is_inf(o_hi) and (is_inf(h) or o_hi < h):
-                    nxt.append((o_hi, h))
-            parts = nxt
+            if bl == loc:
+                parts = [
+                    o for (l, h) in parts for o in _outside(l, h, blo, bhi)
+                ]
         out.extend((loc, l, h) for (l, h) in parts)
     return iset_normalize(out)
 
 
 def iset_intersect(a, b):
+    b = iset_normalize(b)
     out = []
     for (loc, lo, hi) in iset_normalize(a):
-        for (bl, blo, bhi) in iset_normalize(b):
-            if bl != loc:
-                continue
-            o_lo = max(lo, blo)
-            if is_inf(hi):
-                o_hi = bhi
-            elif is_inf(bhi):
-                o_hi = hi
-            else:
-                o_hi = min(hi, bhi)
-            if is_inf(o_hi) or o_lo < o_hi:
-                out.append((loc, o_lo, o_hi))
+        for (bl, blo, bhi) in b:
+            o = _clip(lo, hi, blo, bhi) if bl == loc else None
+            if o:
+                out.append((loc, *o))
     return iset_normalize(out)
 
 
@@ -293,39 +310,17 @@ def image_intervals(h: PLMap, iset):
     out = []
     for (loc, lo, hi) in iset_normalize(iset):
         for p in h.pieces:
-            if p.src != loc:
-                continue
-            o_lo = max(p.lo, lo)
-            if is_inf(p.hi):
-                o_hi = hi
-            elif is_inf(hi):
-                o_hi = p.hi
-            else:
-                o_hi = min(p.hi, hi)
-            if not is_inf(o_hi) and o_lo >= o_hi:
-                continue
-            if p.slope > 0:
-                i_lo = p.a + p.slope * o_lo
-                i_hi = INF if is_inf(o_hi) else p.a + p.slope * o_hi
-            else:
-                i_lo = p.a + p.slope * o_hi  # o_hi finite: negative slopes
-                i_hi = p.a + p.slope * o_lo  # only occur on bounded pieces
-            out.append((p.dst, i_lo, i_hi))
+            o = _clip(p.lo, p.hi, lo, hi) if p.src == loc else None
+            if o:
+                out.append((p.dst, *_image(p.a, p.slope, *o)))
     return iset_normalize(out)
 
 
 def invert_plmap(h: PLMap) -> PLMap:
-    pieces = []
-    for p in h.pieces:
-        if p.slope > 0:
-            i_lo = p.a + p.slope * p.lo
-            i_hi = INF if is_inf(p.hi) else p.a + p.slope * p.hi
-        else:
-            i_lo = p.a + p.slope * p.hi
-            i_hi = p.a + p.slope * p.lo
-        pieces.append(
-            Piece(p.dst, i_lo, i_hi, p.src, -p.a / p.slope, 1 / p.slope)
-        )
+    pieces = [
+        _inverse_piece(p.src, p.lo, p.hi, p.dst, p.a, p.slope)
+        for p in h.pieces
+    ]
     pieces.sort(key=lambda q: (q.src, q.lo))
     return PLMap(h.star, tuple(pieces))
 
@@ -360,6 +355,22 @@ def region_intervals(star: RayStar, region) -> list:
 
 
 # -- realization --------------------------------------------------------------
+
+
+def _lay_out(pieces, acc: Fraction, density: Fraction):
+    """Lay (lo, hi, dst, a, s) pieces end to end from ``acc`` at uniform
+    ``density``, each keeping its mass and orientation; an infinite piece
+    keeps unit slope.  Returns the new pieces and the point where they end."""
+    out = []
+    for (o0, o1, dst, a, s) in pieces:
+        if is_inf(o1):
+            out.append((acc, INF, dst, a + s * o0 - acc, One))
+            return out, INF
+        width = abs(s) * (o1 - o0) / density
+        d = density if s > 0 else -density
+        out.append((acc, acc + width, dst, a + s * o0 - d * acc, d))
+        acc += width
+    return out, acc
 
 
 class _PLBuilder:
@@ -403,77 +414,48 @@ class _PLBuilder:
         with the affine in the line coordinate, ascending and contiguous."""
         segs = []
         if lo < 0:
-            p_lo = Zero if (is_inf(hi) or hi >= 0) else -hi
-            p_hi = -lo
-            for (qlo, qhi, dst, a, s) in self.q[self.pool]:
-                o0 = max(qlo, p_lo)
-                o1 = qhi if is_inf(p_hi) else min(qhi, p_hi)
-                if o0 < o1:
-                    segs.append((-o1, -o0, dst, a, -s))
-        if is_inf(hi) or hi > 0:
-            r_lo = lo if lo > 0 else Zero
-            for (qlo, qhi, dst, a, s) in self.q[ray]:
-                o0 = max(qlo, r_lo)
-                if is_inf(qhi):
-                    o1 = hi
-                elif is_inf(hi):
-                    o1 = qhi
-                else:
-                    o1 = min(qhi, hi)
-                if is_inf(o1) or o0 < o1:
-                    segs.append((o0, o1, dst, a, s))
+            p_lo = Zero if hi >= 0 else -hi
+            for (o0, o1, dst, a, s) in self._clipped(self.pool, p_lo, -lo):
+                segs.append((-o1, -o0, dst, a, -s))
+        if hi > 0:
+            segs.extend(self._clipped(ray, max(lo, Zero), hi))
         segs.sort(key=lambda t: t[0])
         return segs
 
+    def _clipped(self, loc: int, lo: Fraction, hi: ExtMass):
+        """q pieces of one location cut to [lo, hi)."""
+        out = []
+        for (qlo, qhi, dst, a, s) in self.q[loc]:
+            o = _clip(qlo, qhi, lo, hi)
+            if o:
+                out.append((*o, dst, a, s))
+        return out
+
     def _splice_loc(self, loc: int, x0: Fraction, x1: ExtMass, inserts):
-        kept = []
-        for (lo, hi, dst, a, s) in self.q[loc]:
-            if lo < x0:
-                left_hi = x0 if (is_inf(hi) or hi > x0) else hi
-                if lo < left_hi:
-                    kept.append((lo, left_hi, dst, a, s))
-            if not is_inf(x1):
-                r_lo = max(lo, x1)
-                if is_inf(hi) or r_lo < hi:
-                    if is_inf(hi) or hi > x1:
-                        kept.append((r_lo, hi, dst, a, s))
+        kept = [
+            (*o, dst, a, s)
+            for (lo, hi, dst, a, s) in self.q[loc]
+            for o in _outside(lo, hi, x0, x1)
+        ]
         kept.extend(inserts)
         kept.sort(key=lambda t: t[0])
-        merged = []
-        for piece in kept:
-            if merged:
-                (lo, hi, dst, a, s) = merged[-1]
-                (lo2, hi2, dst2, a2, s2) = piece
-                if (
-                    not is_inf(hi)
-                    and hi == lo2
-                    and dst == dst2
-                    and a == a2
-                    and s == s2
-                ):
-                    merged[-1] = (lo, hi2, dst, a, s)
-                    continue
-            merged.append(piece)
-        self.q[loc] = merged
+        self.q[loc] = _merge_pieces(kept)
 
     def _splice_line(self, ray: int, u: Fraction, v: ExtMass, line_pieces):
         pool_ins = []
         ray_ins = []
         for (t0, t1, dst, a, s) in line_pieces:
             if t0 < 0:
-                cut = t1 if (not is_inf(t1) and t1 <= 0) else Zero
+                cut = min(t1, Zero)
                 # pool part (t0, cut): pool coords (-cut, -t0), affine flips
                 pool_ins.append((-cut, -t0, dst, a, -s))
-            start = t0 if t0 > 0 else Zero
-            if is_inf(t1) or t1 > start:
-                if is_inf(t1) or t1 > 0:
-                    ray_ins.append((start, t1, dst, a, s))
+            start = max(t0, Zero)
+            if t1 > start:
+                ray_ins.append((start, t1, dst, a, s))
         if u < 0:
-            p0 = Zero if (is_inf(v) or v >= 0) else -v
-            self._splice_loc(self.pool, p0, -u, pool_ins)
-        if is_inf(v) or v > 0:
-            r0 = u if u > 0 else Zero
-            self._splice_loc(ray, r0, v, ray_ins)
+            self._splice_loc(self.pool, Zero if v >= 0 else -v, -u, pool_ins)
+        if v > 0:
+            self._splice_loc(ray, max(u, Zero), v, ray_ins)
 
     def _sigma_between(self, ray: int, u: Fraction, x: Fraction) -> Fraction:
         """Current mass of the line interval (u, x)."""
@@ -513,8 +495,7 @@ class _PLBuilder:
             a2 = bstar - s2 * b
         new_pieces = []
         for (d0, d1, pa, ps) in ((u, b, a1, s1), (b, v, a2, s2)):
-            i0 = pa + ps * d0
-            i1 = INF if is_inf(d1) else pa + ps * d1
+            i0, i1 = _image(pa, ps, d0, d1)
             for (t0, t1, dst, qa, qs) in self._line_view(ray, i0, i1):
                 x0 = (t0 - pa) / ps
                 x1 = INF if is_inf(t1) else (t1 - pa) / ps
@@ -529,44 +510,15 @@ class _PLBuilder:
         good as another; keeping it uniform after every move also keeps
         all rational data small.  Region boundary masses are untouched.
         """
-        inside = []
-        total = Zero
-        for (plo, phi, dst, a, s) in self.q[loc]:
-            o_lo = max(plo, lo)
-            if is_inf(phi):
-                o_hi = hi
-            elif is_inf(hi):
-                o_hi = phi
-            else:
-                o_hi = min(phi, hi)
-            if not is_inf(o_hi) and o_lo >= o_hi:
-                continue
-            inside.append((o_lo, o_hi, dst, a, s))
-            if not is_inf(o_hi):
-                total += abs(s) * (o_hi - o_lo)
+        inside = self._clipped(loc, lo, hi)
         if is_inf(hi):
             density = One
         else:
-            density = total / (hi - lo)
-        new_pieces = []
-        acc = lo
-        for (o_lo, o_hi, dst, a, s) in inside:
-            if is_inf(o_hi):
-                new_pieces.append((acc, INF, dst, a + s * o_lo - acc, One))
-                acc = INF
-                break
-            width = abs(s) * (o_hi - o_lo) / density
-            if width == 0:
-                continue
-            if s > 0:
-                new_pieces.append(
-                    (acc, acc + width, dst, a + s * o_lo - density * acc, density)
-                )
-            else:
-                new_pieces.append(
-                    (acc, acc + width, dst, a + s * o_lo + density * acc, -density)
-                )
-            acc += width
+            mass = sum(
+                (abs(s) * (o1 - o0) for (o0, o1, _, _, s) in inside), Zero
+            )
+            density = mass / (hi - lo)
+        new_pieces, _ = _lay_out(inside, lo, density)
         self._splice_loc(loc, lo, hi, new_pieces)
 
     def apply_edge_move(self, move: BalloonMove):
@@ -600,65 +552,19 @@ class _PLBuilder:
         for loc in range(self.star.ray_count + 1):
             new_pieces = []
             for (lo, hi) in self._regions(loc):
-                acc = lo
-                for (plo, phi, dst, a, s) in self.q[loc]:
-                    o_lo = max(plo, lo)
-                    if is_inf(phi):
-                        o_hi = hi
-                    elif is_inf(hi):
-                        o_hi = phi
-                    else:
-                        o_hi = min(phi, hi)
-                    if not is_inf(o_hi) and o_lo >= o_hi:
-                        continue
-                    if is_inf(o_hi):
-                        new_pieces.append(
-                            (acc, INF, dst, a + s * o_lo - acc, One)
-                        )
-                        acc = INF
-                        break
-                    mlen = abs(s) * (o_hi - o_lo)
-                    if s > 0:
-                        new_pieces.append(
-                            (acc, acc + mlen, dst, a + s * o_lo - acc, One)
-                        )
-                    else:
-                        new_pieces.append(
-                            (acc, acc + mlen, dst, a + s * o_lo + acc, -One)
-                        )
-                    acc += mlen
-                if acc != hi:
+                laid, end = _lay_out(self._clipped(loc, lo, hi), lo, One)
+                if end != hi:
                     raise ArithmeticError(
                         "normalization requires restored block masses"
                     )
-            merged = []
-            for piece in new_pieces:
-                if merged:
-                    (l1, h1, d1, a1, s1) = merged[-1]
-                    (l2, h2, d2, a2, s2) = piece
-                    if (
-                        not is_inf(h1)
-                        and h1 == l2
-                        and d1 == d2
-                        and a1 == a2
-                        and s1 == s2
-                    ):
-                        merged[-1] = (l1, h2, d1, a1, s1)
-                        continue
-                merged.append(piece)
-            self.q[loc] = merged
+                new_pieces.extend(laid)
+            self.q[loc] = _merge_pieces(new_pieces)
 
     def to_plmap(self) -> PLMap:
         pieces = []
         for loc in range(self.star.ray_count + 1):
             for (lo, hi, dst, a, s) in self.q[loc]:
-                if s > 0:
-                    i_lo = a + s * lo
-                    i_hi = INF if is_inf(hi) else a + s * hi
-                else:
-                    i_lo = a + s * hi
-                    i_hi = a + s * lo
-                pieces.append(Piece(dst, i_lo, i_hi, loc, -a / s, 1 / s))
+                pieces.append(_inverse_piece(loc, lo, hi, dst, a, s))
         pieces.sort(key=lambda q: (q.src, q.lo))
         for loc in range(self.star.ray_count + 1):
             cover = [p for p in pieces if p.src == loc]
@@ -709,7 +615,7 @@ def charge_from_definition(star: RayStar, h: PLMap, cut) -> EndCharge:
     values = {}
     for i in range(star.ray_count):
         length = star.ray_length(i)
-        if not is_inf(length) and T >= length:
+        if T >= length:
             values[star.end_id(i)] = Zero
             continue
         region = [(i, T, length)]

@@ -33,7 +33,6 @@ from .errors import (
 from .extmath import INF, NEG_INF, ExtMass, as_frac, is_inf
 from .measure import MeasureState, base_state, mass
 from .transport import (
-    BalloonMove,
     FluxField,
     MoveWord,
     Rearrange,
@@ -43,6 +42,7 @@ from .transport import (
     concat,
     empty_word,
     invert_word,
+    route,
 )
 from .tree import (
     BalloonTree,
@@ -212,17 +212,6 @@ def _donor_order(tree: BalloonTree, runner: _Runner, donors, dest: str):
     return sorted(donors, key=key)
 
 
-def _route(tree, runner, out_moves: List, src: str, dst: str, amount: Fraction):
-    path = tree.path(src, dst)
-    for a, b in zip(path, path[1:]):
-        if tree.parent.get(b) == a:
-            mv = BalloonMove((a, b), amount)
-        else:
-            mv = BalloonMove((b, a), -amount)
-        runner.apply(mv)
-        out_moves.append(mv)
-
-
 def _transfer(tree, runner, out_moves: List, donors, dest: str, amount: Fraction):
     """Drain ``amount`` from the donor region onto ``dest``.
 
@@ -245,7 +234,9 @@ def _transfer(tree, runner, out_moves: List, donors, dest: str, amount: Fraction
                 take = min(remaining, m / 2)
                 if take <= 0:
                     continue
-            _route(tree, runner, out_moves, donor, dest, take)
+            for mv in route(tree, donor, dest, take):
+                runner.apply(mv)
+                out_moves.append(mv)
             remaining -= take
             progressed = True
         if remaining > 0 and not progressed:

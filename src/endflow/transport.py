@@ -160,15 +160,6 @@ class _Runner:
     def flux_field(self) -> FluxField:
         return FluxField(self.tree, dict(self.flux))
 
-    def region_mass(self, region):
-        total = Fraction(0)
-        for v in region:
-            m = self.node_mass(v)
-            if is_inf(m):
-                return m
-            total += m
-        return total
-
     def region_transfer(self, region) -> Fraction:
         total = Fraction(0)
         for (e, sign) in frontier_edges(self.tree, region):
@@ -361,6 +352,21 @@ def extensionally_equal(w1: MoveWord, w2: MoveWord) -> bool:
     return s1 == s2 and f1 == f2
 
 
+def route(
+    tree: BalloonTree, src: str, dst: str, amount: Fraction
+) -> List[BalloonMove]:
+    """Edge moves carrying ``amount`` from ``src`` to ``dst`` along the
+    tree path.  Every intermediate stop receives before it sends, so the
+    moves keep positivity whenever the source can spare the amount."""
+    path = tree.path(src, dst)
+    return [
+        BalloonMove((a, b), amount)
+        if tree.parent.get(b) == a
+        else BalloonMove((b, a), -amount)
+        for a, b in zip(path, path[1:])
+    ]
+
+
 def rearrange_to_moves(
     tree: BalloonTree,
     state: MeasureState,
@@ -382,25 +388,14 @@ def rearrange_to_moves(
     new = {v: as_frac(new_masses[v]) for v in sup}
     if sum(cur.values(), Fraction(0)) != sum(new.values(), Fraction(0)):
         raise MassNotConservedError("rearrangement changes the support mass")
+    # a node sends its surplus or receives its deficit, never both, so the
+    # starting masses settle both passes
+    order = [v for v in tree.nodes if v in sup and v != anchor]
     moves: List[BalloonMove] = []
-
-    def route(src: str, dst: str, amount: Fraction):
-        path = tree.path(src, dst)
-        for a, b in zip(path, path[1:]):
-            if tree.parent.get(b) == a:
-                moves.append(BalloonMove((a, b), amount))
-            else:
-                moves.append(BalloonMove((b, a), -amount))
-            cur[a] -= amount
-            cur[b] += amount
-
-    order = [v for v in tree.nodes if v in sup]
     for v in order:
-        surplus = cur[v] - new[v]
-        if v != anchor and surplus > 0:
-            route(v, anchor, surplus)
+        if cur[v] > new[v]:
+            moves += route(tree, v, anchor, cur[v] - new[v])
     for v in order:
-        deficit = new[v] - cur[v]
-        if v != anchor and deficit > 0:
-            route(anchor, v, deficit)
+        if new[v] > cur[v]:
+            moves += route(tree, anchor, v, new[v] - cur[v])
     return moves

@@ -12,6 +12,7 @@ from endflow.charge import EndCharge
 from endflow.cli import main
 from endflow.gen import random_preserving_word, random_star
 from endflow.measure import base_state
+from endflow.morphism import identity_morphism
 from endflow.transport import BalloonMove, MoveWord
 
 
@@ -124,6 +125,77 @@ def test_section_rejects_charge_that_is_not_an_object(files, tmp_path, doc):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("validation error: charge:")
     assert proc.stdout == ""
+
+
+@pytest.fixture
+def invalid_files(files, star_tree):
+    """Documents that load as JSON but fail validation."""
+    base = serialize.state_to_json(base_state(star_tree))
+    nonpositive = dict(base, blocks=dict(base["blocks"], u="-2"))
+    star = random_star(Random(81))
+    bad_star = serialize.star_to_json(star)
+    for node in bad_star["nodes"]:
+        if node["id"] == star.cell_id(0, 0):
+            node["weight"] = "-1"
+    morphism = serialize.morphism_to_json(identity_morphism(star_tree))
+    bad_source = json.loads(json.dumps(morphism))
+    for node in bad_source["source"]["nodes"]:
+        if node["id"] == "u":
+            node["weight"] = "-2"
+    docs = {
+        "morphism": morphism,
+        "bad_source_morphism": bad_source,
+        "measure_nonpositive": nonpositive,
+        "measure_no_tails": {"blocks": base["blocks"], "tails": {}},
+        "bad_star": bad_star,
+        "empty_word": {"moves": []},
+    }
+    paths = {k: v for k, v in files.items() if k != "dir"}
+    for name, doc in docs.items():
+        p = files["dir"] / f"{name}.json"
+        p.write_text(json.dumps(doc))
+        paths[name] = str(p)
+    return paths
+
+
+INVALID_INPUTS = {
+    "push_nonpositive_block": [
+        "push", "--morphism", "{morphism}", "--measure", "{measure_nonpositive}"
+    ],
+    "push_missing_tails": [
+        "push", "--morphism", "{morphism}", "--measure", "{measure_no_tails}"
+    ],
+    "push_nonpositive_source_weight": [
+        "push", "--morphism", "{bad_source_morphism}"
+    ],
+    "oracle_negative_cell": [
+        "oracle", "--star", "{bad_star}", "--word", "{empty_word}"
+    ],
+    "validate_missing_tails_with_charge": [
+        "validate", "--tree", "{tree}", "--measure", "{measure_no_tails}",
+        "--charge", "{charge}",
+    ],
+    "validate_negative_star_cell": [
+        "validate", "--tree", "{tree}", "--star", "{bad_star}"
+    ],
+    "validate_nonpositive_source_weight": [
+        "validate", "--tree", "{tree}", "--morphism", "{bad_source_morphism}"
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", INVALID_INPUTS.values(), ids=INVALID_INPUTS.keys()
+)
+def test_invalid_input_exits_2_without_traceback(invalid_files, argv):
+    proc = _run_cli(*(a.format(**invalid_files) for a in argv))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    if argv[0] == "validate":
+        assert json.loads(proc.stdout)["valid"] is False
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("validation error: invalid ")
 
 
 def test_factorize_command(files, capsys):
