@@ -202,21 +202,24 @@ def cmd_push(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.cuts < 1:
+        raise serialize.SchemaError(
+            f"invalid --cuts {args.cuts}: need at least 1"
+        )
     sc = Scenario.load(args)
     h = realize_word(sc.star, sc.word)
     flux_charge = charge_of_word(sc.word)
-    cuts = args.cuts if args.cuts else 3
     base_cut = h.last_breakpoint() + 1
     defs = [
         charge_from_definition(sc.star, h, base_cut + 7 * k)
-        for k in range(cuts)
+        for k in range(args.cuts)
     ]
     match = all(d == flux_charge for d in defs)
     _emit(
         {
             "word_charge": _flat_charge(flux_charge),
             "definition_charge": _flat_charge(defs[0]),
-            "cuts": cuts,
+            "cuts": args.cuts,
             "match": match,
         },
         args.out,

@@ -267,7 +267,6 @@ def random_morphism(rng: Random, max_depth: int = 3) -> TreeMorphism:
     children = {v: list(target.child_map(v)) for v in target.nodes}
     weights = {}
     tails = dict(target.tails)
-    closed = set(target.closed)
     node_map = {}
     counter = [0]
     for v in target.nodes:
@@ -294,17 +293,20 @@ def random_morphism(rng: Random, max_depth: int = 3) -> TreeMorphism:
                 node_map[nid] = v
                 children.setdefault(prev, []).append(nid)
                 children[nid] = []
-                closed.add(nid)
                 if rng.random() < 0.5:
                     prev = nid
         else:
             weights[v] = w
+    # an appendage may have received a child and an expanded Closed leaf
+    # now has its appendages, so only childless non-root blocks are Closed
     source = BalloonTree(
         root=target.root,
         children={v: tuple(c) for v, c in children.items()},
         weights=weights,
         tails=tails,
-        closed=frozenset(closed),
+        closed=frozenset(
+            v for v in weights if v != target.root and not children[v]
+        ),
     )
     return TreeMorphism(source, target, node_map)
 

@@ -3,11 +3,14 @@
 Given an admissible charge, :func:`build_section` produces a
 measure-preserving word whose charge is exactly that charge, with the
 zero charge mapping to the empty word.  The construction alternates two
-words f and g along an exhaustion by depth cuts; at each level it
-corrects one word against the other outside the inner cut, scheduling
-mass transfers whose feasibility is guaranteed by the admissibility of
-the charge (the open-interval check in :func:`solve_balloon_parameter`
-is a bug sentinel, never a runtime branch).  :func:`build_section`
+words f and g along an exhaustion by downward-closed block cuts; at each
+level it corrects one word against the other outside the inner cut,
+scheduling mass transfers whose feasibility is guaranteed by the
+admissibility of the charge (the open-interval check in
+:func:`solve_balloon_parameter` is a bug sentinel, never a runtime
+branch).  Every piece outside such a cut is the full subtree under a
+hanging root, a node outside the cut whose parent is inside it, so the
+mass a word moves into the piece is the flux on that one edge.  :func:`build_section`
 carries the two evaluation states of f and g across the levels and
 collects each word's moves, building the words once at the end; the
 public :func:`align_step` replays two given words and runs one level
@@ -30,7 +33,7 @@ from .errors import (
     RangeError,
     TreeMismatchError,
 )
-from .extmath import INF, NEG_INF, ExtMass, as_frac, is_inf
+from .extmath import ExtMass, as_frac, is_inf
 from .measure import MeasureState, base_state, mass
 from .transport import (
     FluxField,
@@ -44,13 +47,7 @@ from .transport import (
     invert_word,
     route,
 )
-from .tree import (
-    BalloonTree,
-    Region,
-    check_region,
-    components_outside,
-    region_ends,
-)
+from .tree import BalloonTree, Region, check_region, region_ends
 
 
 @dataclass(frozen=True)
@@ -61,9 +58,7 @@ class FeasibilityInterval:
     high: ExtMass  # positive rational or +inf
 
     def contains_strict(self, x: Fraction) -> bool:
-        below = self.low is NEG_INF or self.low < x
-        above = self.high is INF or x < self.high
-        return below and above
+        return self.low < x < self.high
 
 
 @dataclass(frozen=True)
@@ -99,21 +94,41 @@ class Exhaustion:
     def validate(self) -> list:
         out = []
         t = self.tree
-        blocks = set(t.block_nodes)
         prev: frozenset = frozenset()
         for i, lv in enumerate(self.levels):
-            if not lv <= blocks:
-                out.append(f"level {i} contains non-block nodes")
+            out.extend(f"level {i} {p}" for p in _cut_problems(t, lv))
             if not prev <= lv:
                 out.append(f"level {i} does not contain level {i - 1}")
-            for v in lv:
-                p = t.parent.get(v)
-                if p is not None and p not in lv:
-                    out.append(f"level {i} not downward closed at {v!r}")
             prev = lv
-        if not self.levels or self.levels[-1] != frozenset(blocks):
+        if not self.levels or self.levels[-1] != frozenset(t.block_nodes):
             out.append("exhaustion does not cover all block nodes")
         return out
+
+
+def _cut_problems(tree: BalloonTree, cut: Region) -> list:
+    """Why a node set is not a downward-closed block cut; empty if it is."""
+    out = []
+    if any(v in tree.tails or v not in tree.preorder_index for v in cut):
+        out.append("contains non-block nodes")
+    for v in cut:
+        p = tree.parent.get(v)
+        if p is not None and p not in cut:
+            out.append(f"not downward closed at {v!r}")
+    return out
+
+
+def _hanging(tree: BalloonTree, cut: Region) -> List[str]:
+    """Nodes outside the cut whose parent is inside it, in preorder (the
+    root when the cut is empty).
+
+    Outside a downward-closed cut every piece is the full subtree under
+    one of these hanging roots.
+    """
+    if not cut:
+        return [tree.root]
+    out = [c for v in cut for c in tree.child_map(v) if c not in cut]
+    out.sort(key=tree.preorder_index.__getitem__)
+    return out
 
 
 def forced_flux(t: BalloonTree, a: EndCharge) -> FluxField:
@@ -144,11 +159,7 @@ def feasibility_interval(
     n = check_region(sigma.tree, complement)
     if b & n:
         raise BadDecompositionError("balloon and complement overlap")
-    mb = mass(sigma, b)
-    mn = mass(sigma, n)
-    low = NEG_INF if is_inf(mb) else -mb
-    high = INF if is_inf(mn) else mn
-    return FeasibilityInterval(low, high)
+    return FeasibilityInterval(-mass(sigma, b), mass(sigma, n))
 
 
 def solve_balloon_parameter(
@@ -175,7 +186,7 @@ def solve_balloon_parameter(
         if is_inf(iv.high):
             return target / (1 + target)
         return target / iv.high
-    if iv.low is NEG_INF:
+    if is_inf(iv.low):
         return target / (1 - target)
     return target / (-iv.low)
 
@@ -245,16 +256,6 @@ def _transfer(tree, runner, out_moves: List, donors, dest: str, amount: Fraction
             )
 
 
-def _check_cut(tree: BalloonTree, cut: Region, name: str):
-    blocks = set(tree.block_nodes)
-    if not cut <= blocks:
-        raise AlignPreconditionError(f"{name} cut contains non-block nodes")
-    for v in cut:
-        p = tree.parent.get(v)
-        if p is not None and p not in cut:
-            raise AlignPreconditionError(f"{name} cut not downward closed")
-
-
 def _align(
     tree: BalloonTree,
     inner: Region,
@@ -267,20 +268,25 @@ def _align(
     """Advance ``runner`` by one correction level against ``target_runner``,
     appending the correction moves to ``out_moves``.
 
-    The correction is supported outside the inner cut; afterwards the
-    runner matches the target's state on the outer cut and hits the
-    charge's transfer targets on every component beyond it.  The
-    hypotheses are checked first: the two states agree on the inner cut,
-    and their transfer difference already equals the charge on every
-    component outside the inner cut.  Inside each component the deep
-    balloons are settled one at a time, drawing mass from the
+    Outside a downward-closed cut every piece is the full subtree under a
+    hanging root (:func:`_hanging`), so the mass a word moves into the
+    piece is the flux on the one edge above that root.  The correction is
+    supported outside the inner cut; afterwards the runner matches the
+    target's state on the outer cut and hits the charge's transfer targets
+    on every piece beyond it.  The hypotheses are checked first: the two
+    states agree on the inner cut, and their transfer difference already
+    equals the charge on every piece outside the inner cut.  Inside each
+    piece the deep balloons (the pieces outside the outer cut hanging from
+    the piece's core) are settled one at a time, drawing mass from the
     not-yet-settled remainder through the feasibility gauge, and a final
     rearrangement fixes the core to the target state.
     """
     inner = check_region(tree, inner)
     outer = check_region(tree, outer)
-    _check_cut(tree, inner, "inner")
-    _check_cut(tree, outer, "outer")
+    for name, cut in (("inner", inner), ("outer", outer)):
+        problems = _cut_problems(tree, cut)
+        if problems:
+            raise AlignPreconditionError(f"{name} cut {problems[0]}")
     if not inner <= outer:
         raise AlignPreconditionError("inner cut must lie inside the outer cut")
 
@@ -290,48 +296,51 @@ def _align(
                 f"states disagree on inner cut at {v!r}"
             )
 
-    comps = components_outside(tree, inner)
-    for A in comps:
+    def inflow(r: _Runner, root: str) -> Fraction:
+        """Mass moved into the subtree under ``root``."""
+        p = tree.parent.get(root)
+        return Fraction(0) if p is None else r.flux[(p, root)]
+
+    def needed(root: str, piece: Region) -> Fraction:
+        """Transfer into the piece that puts the runner at the charge
+        relative to the target."""
+        return charge_eval(
+            charge, region_ends(tree, piece)
+        ) + inflow(target_runner, root)
+
+    pieces = [(h, tree.subtree(h)) for h in _hanging(tree, inner)]
+    for h, A in pieces:
         want = charge_eval(charge, region_ends(tree, A))
-        have = runner.region_transfer(A) - target_runner.region_transfer(A)
+        have = inflow(runner, h) - inflow(target_runner, h)
         if have != want:
             raise AlignPreconditionError(
                 f"transfer mismatch on a component outside the inner cut: "
                 f"{have} != {want}"
             )
 
-    def needed(region) -> Fraction:
-        """Transfer into the region that puts the runner at the charge
-        relative to the target."""
-        return charge_eval(
-            charge, region_ends(tree, region)
-        ) + target_runner.region_transfer(region)
-
-    deep_comps = components_outside(tree, outer)
-    for A in comps:
+    for h, A in pieces:
         core = A & outer
         if not core:
-            # the component lies entirely beyond the outer cut; its target
-            # is already met by the hypothesis check above
-            if runner.region_transfer(A) != needed(A):
+            # the piece lies entirely beyond the outer cut; its target is
+            # already met by the hypothesis check above
+            if inflow(runner, h) != needed(h, A):
                 raise AlignPreconditionError(
                     "untouched component drifted from its target"
                 )
             continue
-        deeps = [B for B in deep_comps if B <= A]
-        for j, B in enumerate(deeps):
-            target = needed(B) - runner.region_transfer(B)
-            rest = core.union(*deeps[j + 1 :])
+        # children of the core outside it are the outer cut's hanging
+        # roots inside this piece
+        deeps = [(hb, tree.subtree(hb)) for hb in _hanging(tree, core)]
+        for j, (hb, B) in enumerate(deeps):
+            target = needed(hb, B) - inflow(runner, hb)
+            rest = core.union(*(D for _, D in deeps[j + 1 :]))
             solve_balloon_parameter(runner.state(), B, rest, target)
             if target == 0:
                 continue
-            root_b = next(v for v in B if tree.parent.get(v) not in B)
             if target > 0:
-                _transfer(tree, runner, out_moves, rest, root_b, target)
+                _transfer(tree, runner, out_moves, rest, hb, target)
             else:
-                _transfer(
-                    tree, runner, out_moves, B, tree.parent[root_b], -target
-                )
+                _transfer(tree, runner, out_moves, B, tree.parent[hb], -target)
         tau = {v: target_runner.blocks[v] for v in core}
         if any(runner.blocks[v] != tau[v] for v in core):
             mv = Rearrange(frozenset(core), tau)

@@ -160,12 +160,6 @@ class _Runner:
     def flux_field(self) -> FluxField:
         return FluxField(self.tree, dict(self.flux))
 
-    def region_transfer(self, region) -> Fraction:
-        total = Fraction(0)
-        for (e, sign) in frontier_edges(self.tree, region):
-            total += sign * self.flux[e]
-        return total
-
     def apply(self, move: Move):
         if isinstance(move, BalloonMove):
             self._apply_balloon(move)
@@ -340,7 +334,11 @@ def invert_word(word: MoveWord) -> MoveWord:
 def region_transfer(word: MoveWord, region: Iterable[str]) -> Fraction:
     """Net mass the word moves into a region: signed flux over its
     frontier edges, oriented inward."""
-    return _replay(word).region_transfer(region)
+    flux = _replay(word).flux
+    total = Fraction(0)
+    for (e, sign) in frontier_edges(word.tree, region):
+        total += sign * flux[e]
+    return total
 
 
 def extensionally_equal(w1: MoveWord, w2: MoveWord) -> bool:

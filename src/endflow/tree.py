@@ -296,36 +296,6 @@ def frontier_edges(t: BalloonTree, region: Iterable[str]):
     return out
 
 
-def components_outside(t: BalloonTree, region: Iterable[str]):
-    """Connected components of the complement of a region, in preorder.
-
-    For the downward-closed block regions used by exhaustions every
-    component is a full subtree; this routine handles arbitrary regions.
-    """
-    r = check_region(t, region)
-    comp = []
-    assigned = {}
-    for v in t.nodes:
-        if v in r or v in assigned:
-            continue
-        members = []
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            if u in assigned or u in r:
-                continue
-            assigned[u] = len(comp)
-            members.append(u)
-            for n in t.children.get(u, ()):
-                if n not in r:
-                    stack.append(n)
-            pu = t.parent.get(u)
-            if pu is not None and pu not in r:
-                stack.append(pu)
-        comp.append(frozenset(members))
-    return comp
-
-
 # -- clopen algebra on End leaves -------------------------------------------
 
 

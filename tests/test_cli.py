@@ -129,7 +129,8 @@ def test_section_rejects_charge_that_is_not_an_object(files, tmp_path, doc):
 
 @pytest.fixture
 def invalid_files(files, star_tree):
-    """Documents that load as JSON but fail validation."""
+    """Documents that load as JSON but fail validation, and a valid star
+    for the cases whose fault is an argument."""
     base = serialize.state_to_json(base_state(star_tree))
     nonpositive = dict(base, blocks=dict(base["blocks"], u="-2"))
     star = random_star(Random(81))
@@ -147,6 +148,7 @@ def invalid_files(files, star_tree):
         "bad_source_morphism": bad_source,
         "measure_nonpositive": nonpositive,
         "measure_no_tails": {"blocks": base["blocks"], "tails": {}},
+        "star": serialize.star_to_json(star),
         "bad_star": bad_star,
         "empty_word": {"moves": []},
     }
@@ -170,6 +172,12 @@ INVALID_INPUTS = {
     ],
     "oracle_negative_cell": [
         "oracle", "--star", "{bad_star}", "--word", "{empty_word}"
+    ],
+    "oracle_zero_cuts": [
+        "oracle", "--star", "{star}", "--word", "{empty_word}", "--cuts", "0"
+    ],
+    "oracle_negative_cuts": [
+        "oracle", "--star", "{star}", "--word", "{empty_word}", "--cuts", "-1"
     ],
     "validate_missing_tails_with_charge": [
         "validate", "--tree", "{tree}", "--measure", "{measure_no_tails}",
@@ -257,6 +265,7 @@ def test_oracle_command(tmp_path, capsys):
     assert main(["oracle", "--star", str(star_p), "--word", str(word_p)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["match"] is True
+    assert out["cuts"] == 3
     assert out["word_charge"] == out["definition_charge"]
 
 

@@ -1,6 +1,10 @@
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
+
+from endflow.gen import random_morphism
+from endflow.tree import validate_tree
 
 SCRIPT = """
 import hashlib, json
@@ -33,3 +37,12 @@ def _words_digest(hash_seed: str) -> str:
 def test_random_preserving_word_ignores_hash_seed():
     """The same Random seed draws the same words in every process."""
     assert _words_digest("1") == _words_digest("2") == _words_digest("3")
+
+
+def test_random_morphism_draws_valid_trees():
+    """Appendages that receive children and expanded Closed leaves are
+    interior blocks, so both trees and the morphism validate."""
+    for seed in range(200):
+        pi = random_morphism(Random(seed))
+        source, target = validate_tree(pi.source), validate_tree(pi.target)
+        assert source == target == pi.validate() == [], seed

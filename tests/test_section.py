@@ -25,6 +25,7 @@ from endflow.section import (
     solve_balloon_parameter,
 )
 from endflow.transport import (
+    BalloonMove,
     MoveWord,
     apply_word,
     charge_of_word,
@@ -144,6 +145,38 @@ def test_align_step_checks_hypotheses(star_tree):
             mu, frozenset(), frozenset({"r", "u", "v"}), empty_word(mu),
             empty_word(mu), biased,
         )
+
+
+BLOCKS = frozenset({"r", "u", "v"})
+ALIGN_PRECONDITIONS = {
+    "cut_holds_end_leaf": (
+        frozenset(), BLOCKS | {"l1"}, "cut contains non-block nodes"
+    ),
+    "cut_not_downward_closed": (
+        frozenset({"u"}), BLOCKS, "inner cut not downward closed"
+    ),
+    "inner_not_in_outer": (
+        frozenset({"r", "u"}), frozenset({"r", "v"}), "inside the outer cut"
+    ),
+    "states_disagree_on_inner": (
+        frozenset({"r"}), BLOCKS, "disagree on inner cut"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "inner, outer, match",
+    ALIGN_PRECONDITIONS.values(),
+    ids=ALIGN_PRECONDITIONS.keys(),
+)
+def test_align_step_rejects_bad_cuts_and_states(star_tree, inner, outer, match):
+    mu = base_state(star_tree)
+    # moves mass off the root, so the word and the empty target disagree
+    # on every cut holding the root
+    word = MoveWord(star_tree, mu, (BalloonMove(("r", "u"), Fraction(1)),))
+    a = EndCharge(star_tree, {"l1": Fraction(3), "l2": Fraction(-3)})
+    with pytest.raises(AlignPreconditionError, match=match):
+        align_step(mu, inner, outer, word, empty_word(mu), a)
 
 
 def test_align_step_sentinel_on_smuggled_charge(star_tree):
