@@ -26,8 +26,7 @@ class EndCharge:
     values: Mapping[str, Fraction]
 
     def __post_init__(self):
-        leaves = set(self.tree.end_leaves)
-        foreign = set(self.values) - leaves
+        foreign = set(self.values) - self.tree.end_leaf_set
         if foreign:
             raise TreeMismatchError(
                 f"charge values on non-End nodes: {sorted(foreign)}"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import InfiniteDifferenceError, TreeMismatchError
+from .errors import InfiniteDifferenceError
 from .extmath import INF, ExtMass, as_frac, as_mass, is_inf
 from .tree import BalloonTree, EndSet, check_region
 
@@ -38,7 +38,7 @@ class MeasureState:
         out = []
         if set(self.blocks) != set(self.tree.block_nodes):
             out.append("block masses do not cover exactly the block nodes")
-        if set(self.tails) != set(self.tree.end_leaves):
+        if set(self.tails) != self.tree.end_leaf_set:
             out.append("tail masses do not cover exactly the End leaves")
         for v, m in sorted(self.blocks.items()):
             if m <= 0:
@@ -70,11 +70,6 @@ def base_state(t: BalloonTree) -> MeasureState:
         {v: t.weights[v] for v in t.block_nodes},
         {v: t.tails[v] for v in t.end_leaves},
     )
-
-
-def _require_same_tree(mu: MeasureState, t: BalloonTree):
-    if mu.tree != t:
-        raise TreeMismatchError("measure state belongs to a different tree")
 
 
 def mass(mu: MeasureState, region: Iterable[str]) -> ExtMass:

@@ -75,12 +75,11 @@ class TreeMorphism:
     def validate(self) -> list:
         out = []
         s, t, m = self.source, self.target, self.node_map
-        s_nodes, t_nodes = set(s.nodes), set(t.nodes)
-        if set(m) != s_nodes:
+        if set(m) != s.node_set:
             out.append("node map does not cover exactly the source nodes")
             return out
         image = set(m.values())
-        if image != t_nodes:
+        if image != t.node_set:
             out.append("node map is not onto the target nodes")
         if m.get(s.root) != t.root:
             out.append("root does not map to the target root")
@@ -92,7 +91,7 @@ class TreeMorphism:
                 out.append(f"edge {(p, c)!r} maps to a non-edge {(mp, mc)!r}")
         ends_s = list(s.end_leaves)
         mapped = [m[v] for v in ends_s]
-        if len(set(mapped)) != len(mapped) or set(mapped) != set(t.end_leaves):
+        if len(set(mapped)) != len(mapped) or set(mapped) != t.end_leaf_set:
             out.append("End leaves do not biject onto target End leaves")
         else:
             for v in ends_s:

@@ -6,23 +6,27 @@ by cumulative mass along the ray (measure coordinate), in which the
 reference measure is unit-density, so a map preserves measure exactly
 when its pieces have unit slope.
 
-A word on the associated balloon tree is realized move by move: each edge
-transfer becomes a two-piece map that slides the region boundary's
-preimage to the matching mass quantile.  Transfers through the center use
-a pool segment standing in for the center block; pieces crossing the
-pool/ray junction model the mixing the center performs, which is treated
-as a black box (only the rays are honest 1-D geometry).  The end charge
-of the realized map is then recomputed from the raw definition - the
-masses of ``C - h(C)`` and ``h(C) - C`` for a tail region ``C`` - by
-exact interval arithmetic, giving an oracle fully independent of the
-flux accounting.
+A word on the associated balloon tree is realized move by move on region
+queues: each fixed region (the center, each cell, each tail) keeps the
+ordered source segments the map sends onto it, and an edge transfer moves
+the segments holding its amount across the edge.  A pool segment stands
+in for the center block; segments crossing between pool and rays model
+the mixing the center performs, treated as a black box (only the rays
+are honest 1-D geometry).  The interior distribution of a block is below
+the model's resolution, so each region is finally laid out at uniform
+density: every piece has unit slope and all rational data stay small.
+The end charge of the realized map is then recomputed from the raw
+definition - the masses of ``C - h(C)`` and ``h(C) - C`` for a tail
+region ``C`` - by exact interval arithmetic, giving an oracle fully
+independent of the flux accounting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from functools import cached_property
+from typing import Dict, List, Tuple
 
 from .charge import EndCharge
 from .errors import (
@@ -90,6 +94,19 @@ class RayStar:
 
     def ray_length(self, i: int) -> ExtMass:
         return self.bounds(i)[-1] + self.tails[i]
+
+    @cached_property
+    def node_intervals(self) -> Dict[str, Tuple[int, Fraction, ExtMass]]:
+        """Node id of the star's tree -> its fixed interval (location, lo,
+        hi): the center first, then each ray from its first cell to its
+        tail."""
+        out = {self.center_id(): (self.ray_count, Zero, self.center_mass)}
+        for i in range(self.ray_count):
+            bounds = self.bounds(i)
+            for k in range(self.depth):
+                out[self.cell_id(i, k)] = (i, bounds[k], bounds[k + 1])
+            out[self.end_id(i)] = (i, bounds[-1], bounds[-1] + self.tails[i])
+        return out
 
     # node ids of the associated balloon tree
     def center_id(self) -> str:
@@ -333,249 +350,152 @@ def region_intervals(star: RayStar, region) -> list:
     """Fixed coordinate intervals of a node subset of the star's tree."""
     out = []
     for v in region:
-        if v == star.center_id():
-            out.append((star.ray_count, Zero, star.center_mass))
-            continue
-        for i in range(star.ray_count):
-            bounds = star.bounds(i)
-            if v == star.end_id(i):
-                out.append((i, bounds[-1], star.ray_length(i)))
-                break
-            hit = False
-            for k in range(star.depth):
-                if v == star.cell_id(i, k):
-                    out.append((i, bounds[k], bounds[k + 1]))
-                    hit = True
-                    break
-            if hit:
-                break
-        else:
-            raise TreeMismatchError(f"node {v!r} is not part of the star")
+        try:
+            out.append(star.node_intervals[v])
+        except KeyError:
+            raise TreeMismatchError(
+                f"node {v!r} is not part of the star"
+            ) from None
     return iset_normalize(out)
 
 
 # -- realization --------------------------------------------------------------
+# A segment (loc, start, mass, direction) is the source interval
+# [start, start + mass) on location loc, read forwards along its region
+# when direction is +1 and backwards when it is -1.  Only tails hold an
+# infinite segment, always forwards and last.
 
 
-def _lay_out(pieces, acc: Fraction, density: Fraction):
-    """Lay (lo, hi, dst, a, s) pieces end to end from ``acc`` at uniform
-    ``density``, each keeping its mass and orientation; an infinite piece
-    keeps unit slope.  Returns the new pieces and the point where they end."""
-    out = []
-    for (o0, o1, dst, a, s) in pieces:
-        if is_inf(o1):
-            out.append((acc, INF, dst, a + s * o0 - acc, One))
-            return out, INF
-        width = abs(s) * (o1 - o0) / density
-        d = density if s > 0 else -density
-        out.append((acc, acc + width, dst, a + s * o0 - d * acc, d))
-        acc += width
-    return out, acc
+def _split(seg, m: Fraction):
+    """Cut a segment after mass m from its front: (front, rest)."""
+    loc, start, mass, d = seg
+    if d > 0:
+        return (loc, start, m, d), (loc, start + m, mass - m, d)
+    return (loc, start + mass - m, m, d), (loc, start, mass - m, d)
+
+
+def _take_front(queue: list, m: Fraction) -> list:
+    """Remove and return the segments holding the queue's first m of mass."""
+    taken = []
+    while m:
+        if not queue:
+            raise ArithmeticError("move takes more mass than the region holds")
+        seg = queue.pop(0)
+        if seg[2] > m:
+            seg, rest = _split(seg, m)
+            queue.insert(0, rest)
+        taken.append(seg)
+        m -= seg[2]
+    return taken
+
+
+def _take_back(queue: list, m: Fraction) -> list:
+    """Remove and return the segments holding the queue's last m of mass."""
+    taken = []
+    while m:
+        if not queue:
+            raise ArithmeticError("move takes more mass than the region holds")
+        seg = queue.pop()
+        if seg[2] > m:
+            rest, seg = _split(seg, seg[2] - m)
+            queue.append(rest)
+        taken.insert(0, seg)
+        m -= seg[2]
+    return taken
+
+
+def _join(front: list, back: list) -> list:
+    """front followed by back, merging the two segments at the seam when
+    they are contiguous in the source."""
+    if front and back:
+        loc, start, m, d = front[-1]
+        loc2, start2, m2, d2 = back[0]
+        seam = start + m == start2 if d > 0 else start2 + m2 == start
+        if loc == loc2 and d == d2 and seam:
+            merged = (loc, min(start, start2), m + m2, d)
+            return front[:-1] + [merged] + back[1:]
+    return front + back
+
+
+def _reverse(queue: list) -> list:
+    """The same segments read from the other end of the region."""
+    return [(loc, start, m, -d) for (loc, start, m, d) in reversed(queue)]
 
 
 class _PLBuilder:
-    """Tracks the inverse map q = h^{-1} as per-location piece lists."""
+    """Tracks h by region queues: for each fixed region of the star (the
+    center, each cell, each tail), the ordered source segments that h maps
+    onto it.
+
+    An edge move of amount d > 0 takes the segments holding the last d of
+    mass of the parent's region and puts them, in order, in front of the
+    child's; d < 0 moves the child's first -d back behind the parent's.
+    Every star edge joins the end of its parent's region to the start of
+    its child's, except at the center, which meets every ray at pool
+    coordinate 0: its queue is stored reversed, from pool coordinate
+    ``center_mass`` down to 0, so the same rule holds there.
+    """
 
     def __init__(self, star: RayStar):
         self.star = star
-        self.pool = star.ray_count
-        self.bounds = [star.bounds(i) for i in range(star.ray_count)]
-        lengths = [star.ray_length(i) for i in range(star.ray_count)]
-        lengths.append(star.center_mass)
-        self.lengths = lengths
-        # edge -> (ray, u, b, v, regions re-combed after the move): a move
-        # across the edge slides line point b between (u, b) and (b, v)
-        self.edge_moves = {}
-        for i, bounds in enumerate(self.bounds):
-            ids = (
-                [star.center_id()]
-                + [star.cell_id(i, k) for k in range(star.depth)]
-                + [star.end_id(i)]
-            )
-            points = [-star.center_mass] + bounds + [lengths[i]]
-            for k in range(star.depth + 1):
-                u, b, v = points[k : k + 3]
-                # the center's own region lives on the pool line
-                first = (self.pool, Zero, star.center_mass) if k == 0 else (i, u, b)
-                self.edge_moves[(ids[k], ids[k + 1])] = (
-                    i, u, b, v, (first, (i, b, v))
-                )
-        # identity start: one piece per location
-        self.q = [
-            [(Zero, lengths[loc], loc, Zero, One)]
-            for loc in range(star.ray_count + 1)
-        ]
-
-    # line coordinate for ray i: t >= 0 is ray coordinate t, t < 0 is pool
-    # coordinate -t.  All primitives act on one such line.
-
-    def _line_view(self, ray: int, lo: Fraction, hi: ExtMass):
-        """q pieces over the line interval [lo, hi), as (t0, t1, dst, a, s)
-        with the affine in the line coordinate, ascending and contiguous."""
-        segs = []
-        if lo < 0:
-            p_lo = Zero if hi >= 0 else -hi
-            for (o0, o1, dst, a, s) in self._clipped(self.pool, p_lo, -lo):
-                segs.append((-o1, -o0, dst, a, -s))
-        if hi > 0:
-            segs.extend(self._clipped(ray, max(lo, Zero), hi))
-        segs.sort(key=lambda t: t[0])
-        return segs
-
-    def _clipped(self, loc: int, lo: Fraction, hi: ExtMass):
-        """q pieces of one location cut to [lo, hi)."""
-        out = []
-        for (qlo, qhi, dst, a, s) in self.q[loc]:
-            o = _clip(qlo, qhi, lo, hi)
-            if o:
-                out.append((*o, dst, a, s))
-        return out
-
-    def _splice_loc(self, loc: int, x0: Fraction, x1: ExtMass, inserts):
-        kept = [
-            (*o, dst, a, s)
-            for (lo, hi, dst, a, s) in self.q[loc]
-            for o in _outside(lo, hi, x0, x1)
-        ]
-        kept.extend(inserts)
-        kept.sort(key=lambda t: t[0])
-        self.q[loc] = _merge_pieces(kept)
-
-    def _splice_line(self, ray: int, u: Fraction, v: ExtMass, line_pieces):
-        pool_ins = []
-        ray_ins = []
-        for (t0, t1, dst, a, s) in line_pieces:
-            if t0 < 0:
-                cut = min(t1, Zero)
-                # pool part (t0, cut): pool coords (-cut, -t0), affine flips
-                pool_ins.append((-cut, -t0, dst, a, -s))
-            start = max(t0, Zero)
-            if t1 > start:
-                ray_ins.append((start, t1, dst, a, s))
-        if u < 0:
-            self._splice_loc(self.pool, Zero if v >= 0 else -v, -u, pool_ins)
-        if v > 0:
-            self._splice_loc(ray, max(u, Zero), v, ray_ins)
-
-    def _sigma_between(self, ray: int, u: Fraction, x: Fraction) -> Fraction:
-        """Current mass of the line interval (u, x)."""
-        total = Zero
-        for (t0, t1, _, _, s) in self._line_view(ray, u, x):
-            total += abs(s) * (t1 - t0)
-        return total
-
-    def _quantile(self, ray: int, u: Fraction, target: Fraction) -> Fraction:
-        """The line point b* with current mass (u, b*) equal to target."""
-        acc = Zero
-        for (t0, t1, _, _, s) in self._line_view(ray, u, self.lengths[ray]):
-            d = abs(s)
-            if is_inf(t1):
-                return t0 + (target - acc) / d
-            seg = d * (t1 - t0)
-            if acc + seg >= target:
-                return t0 + (target - acc) / d
-            acc += seg
-        raise ArithmeticError("quantile beyond the available mass")
-
-    def primitive(self, ray: int, u: Fraction, b: Fraction, v: ExtMass, delta: Fraction):
-        """Move ``delta`` of current mass across line point b, between the
-        regions (u, b) and (b, v), fixing u and v."""
-        left = self._sigma_between(ray, u, b)
-        bstar = self._quantile(ray, u, left - delta)
-        if bstar == b:
-            return
-        # two-piece boundary slide phi^{-1}: (u,b)->(u,b*), (b,v)->(b*,v)
-        s1 = (bstar - u) / (b - u)
-        a1 = u - s1 * u
-        if is_inf(v):
-            s2 = One
-            a2 = bstar - b
-        else:
-            s2 = (v - bstar) / (v - b)
-            a2 = bstar - s2 * b
-        new_pieces = []
-        for (d0, d1, pa, ps) in ((u, b, a1, s1), (b, v, a2, s2)):
-            i0, i1 = _image(pa, ps, d0, d1)
-            for (t0, t1, dst, qa, qs) in self._line_view(ray, i0, i1):
-                x0 = (t0 - pa) / ps
-                x1 = INF if is_inf(t1) else (t1 - pa) / ps
-                new_pieces.append((x0, x1, dst, qa + qs * pa, qs * ps))
-        self._splice_line(ray, u, v, new_pieces)
-
-    def comb_region(self, loc: int, lo: Fraction, hi: ExtMass):
-        """Re-comb one fixed region to uniform density.
-
-        The interior distribution of a block is below the model's
-        resolution, so any representative of the mixing inside it is as
-        good as another; keeping it uniform after every move also keeps
-        all rational data small.  Region boundary masses are untouched.
-        """
-        inside = self._clipped(loc, lo, hi)
-        if is_inf(hi):
-            density = One
-        else:
-            mass = sum(
-                (abs(s) * (o1 - o0) for (o0, o1, _, _, s) in inside), Zero
-            )
-            density = mass / (hi - lo)
-        new_pieces, _ = _lay_out(inside, lo, density)
-        self._splice_loc(loc, lo, hi, new_pieces)
+        self.edges = frozenset(star.to_tree().edges)
+        self.queues = {
+            v: [(loc, lo, hi - lo, One)]
+            for v, (loc, lo, hi) in star.node_intervals.items()
+        }
+        center = star.center_id()
+        self.queues[center] = _reverse(self.queues[center])
 
     def apply_edge_move(self, move: BalloonMove):
-        try:
-            ray, u, b, v, regions = self.edge_moves[move.edge]
-        except KeyError:
-            raise TreeMismatchError(
-                f"edge {move.edge!r} is not a star edge"
-            ) from None
-        self.primitive(ray, u, b, v, move.amount)
-        for (loc, lo, hi) in regions:
-            self.comb_region(loc, lo, hi)
-
-    def _regions(self, loc: int):
-        if loc == self.pool:
-            return [(Zero, self.star.center_mass)]
-        bounds = self.bounds[loc]
-        out = list(zip(bounds, bounds[1:]))
-        out.append((bounds[-1], self.lengths[loc]))
-        return out
-
-    def normalize(self):
-        """Comb the final within-region distortion back to unit density.
-
-        Valid once the word has restored every block mass: each fixed
-        region then holds exactly its reference mass, and the unique
-        monotone mass transport on the region is PL with rational data.
-        The result is a genuinely measure-preserving map (all pieces of
-        unit slope), with honest eventual translations on the tails.
-        """
-        for loc in range(self.star.ray_count + 1):
-            new_pieces = []
-            for (lo, hi) in self._regions(loc):
-                laid, end = _lay_out(self._clipped(loc, lo, hi), lo, One)
-                if end != hi:
-                    raise ArithmeticError(
-                        "normalization requires restored block masses"
-                    )
-                new_pieces.extend(laid)
-            self.q[loc] = _merge_pieces(new_pieces)
+        if move.edge not in self.edges:
+            raise TreeMismatchError(f"edge {move.edge!r} is not a star edge")
+        parent, child = move.edge
+        q = self.queues
+        if move.amount > 0:
+            q[child] = _join(_take_back(q[parent], move.amount), q[child])
+        elif move.amount < 0:
+            q[parent] = _join(q[parent], _take_front(q[child], -move.amount))
 
     def to_plmap(self) -> PLMap:
-        pieces = []
-        for loc in range(self.star.ray_count + 1):
-            for (lo, hi, dst, a, s) in self.q[loc]:
-                pieces.append(_inverse_piece(loc, lo, hi, dst, a, s))
-        pieces.sort(key=lambda q: (q.src, q.lo))
-        for loc in range(self.star.ray_count + 1):
-            cover = [p for p in pieces if p.src == loc]
-            x = Zero
-            for p in cover:
-                if p.lo != x:
-                    raise ArithmeticError("realized map is not a bijection")
-                x = p.hi
-            if x != self.lengths[loc]:
+        """Lay every region out at unit density and invert.
+
+        Once the word has restored every block mass, each fixed region
+        holds exactly its reference mass, so the map is measure-preserving
+        (all pieces of unit slope) with honest eventual translations on the
+        tails.
+        """
+        star = self.star
+        laid = [[] for _ in range(star.ray_count + 1)]
+        ends = {}
+        for v, (loc, lo, hi) in star.node_intervals.items():
+            segs = self.queues[v]
+            if v == star.center_id():
+                segs = _reverse(segs)
+            x = lo
+            for (dst, start, m, d) in segs:
+                # q = h^{-1} on [x, x + m): the segment read at unit speed
+                front = start if d > 0 else start + m
+                laid[loc].append((x, x + m, dst, front - d * x, d))
+                x += m
+            if x != hi:
+                raise ArithmeticError(
+                    "normalization requires restored block masses"
+                )
+            ends[loc] = hi
+        pieces = [
+            _inverse_piece(loc, *piece)
+            for loc, q in enumerate(laid)
+            for piece in _merge_pieces(q)
+        ]
+        pieces.sort(key=lambda p: (p.src, p.lo))
+        reached = {loc: Zero for loc in ends}
+        for p in pieces:
+            if p.lo != reached[p.src]:
                 raise ArithmeticError("realized map is not a bijection")
-        return PLMap(self.star, tuple(pieces))
+            reached[p.src] = p.hi
+        if reached != ends:
+            raise ArithmeticError("realized map is not a bijection")
+        return PLMap(star, tuple(pieces))
 
 
 def realize_word(star: RayStar, word: MoveWord) -> PLMap:
@@ -599,7 +519,6 @@ def realize_word(star: RayStar, word: MoveWord) -> PLMap:
         else:
             builder.apply_edge_move(mv)
             runner.apply(mv)
-    builder.normalize()
     return builder.to_plmap()
 
 

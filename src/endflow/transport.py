@@ -281,31 +281,31 @@ def apply_word(word: MoveWord) -> Tuple[MeasureState, FluxField]:
     return r.state(), r.flux_field()
 
 
+def _preserves(word: MoveWord, r: _Runner) -> bool:
+    """The runner, left at the word's end, holds the base blocks and no
+    net flux has entered any finite tail."""
+    t = word.tree
+    return r.blocks == word.base.blocks and all(
+        is_inf(word.base.tails[v]) or r.flux[t.leaf_edge(v)] == 0
+        for v in t.end_leaves
+    )
+
+
 def is_measure_preserving(word: MoveWord) -> bool:
     """Final blocks equal the base blocks and no net flux enters any
     finite tail."""
-    state, flux = apply_word(word)
-    if state.blocks != word.base.blocks:
-        return False
-    for leaf in word.tree.end_leaves:
-        if not is_inf(word.base.tails[leaf]) and flux.leaf_flux(leaf) != 0:
-            return False
-    return True
+    return _preserves(word, _replay(word))
 
 
 def charge_of_word(word: MoveWord) -> EndCharge:
     """End charge of a measure-preserving word: its leaf-edge fluxes."""
-    state, flux = apply_word(word)
-    if state.blocks != word.base.blocks or any(
-        not is_inf(word.base.tails[v]) and flux.leaf_flux(v) != 0
-        for v in word.tree.end_leaves
-    ):
+    r = _replay(word)
+    if not _preserves(word, r):
         raise ChargeUndefinedError(
             "word does not preserve its base measure; charge undefined"
         )
-    return EndCharge(
-        word.tree, {v: flux.leaf_flux(v) for v in word.tree.end_leaves}
-    )
+    t = word.tree
+    return EndCharge(t, {v: r.flux[t.leaf_edge(v)] for v in t.end_leaves})
 
 
 def concat(w1: MoveWord, w2: MoveWord) -> MoveWord:

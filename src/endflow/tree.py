@@ -131,6 +131,14 @@ class BalloonTree:
         return tuple(v for v in self.nodes if v in self.tails)
 
     @cached_property
+    def node_set(self) -> FrozenSet[str]:
+        return frozenset(self.nodes)
+
+    @cached_property
+    def end_leaf_set(self) -> FrozenSet[str]:
+        return frozenset(self.end_leaves)
+
+    @cached_property
     def block_nodes(self) -> Tuple[str, ...]:
         return tuple(v for v in self.nodes if v not in self.tails)
 
@@ -144,9 +152,6 @@ class BalloonTree:
 
     def is_end_leaf(self, v: str) -> bool:
         return v in self.tails
-
-    def tail_mass(self, leaf: str) -> ExtMass:
-        return self.tails[leaf]
 
     def child_map(self, v: str) -> Tuple[str, ...]:
         return self.children.get(v, ())
@@ -262,8 +267,7 @@ def validate_tree(t: BalloonTree) -> list:
 
 def check_region(t: BalloonTree, region: Iterable[str]) -> Region:
     r = frozenset(region)
-    nodes = set(t.nodes)
-    foreign = r - nodes
+    foreign = r - t.node_set
     if foreign:
         raise MalformedRegionError(
             f"region references foreign nodes: {sorted(foreign)}"
@@ -301,8 +305,7 @@ def frontier_edges(t: BalloonTree, region: Iterable[str]):
 
 def _check_ends(t: BalloonTree, s: Iterable[str]) -> EndSet:
     es = frozenset(s)
-    leaves = set(t.end_leaves)
-    foreign = es - leaves
+    foreign = es - t.end_leaf_set
     if foreign:
         raise MalformedRegionError(
             f"end set references non-End nodes: {sorted(foreign)}"
@@ -319,7 +322,7 @@ def end_intersection(t: BalloonTree, a: Iterable[str], b: Iterable[str]) -> EndS
 
 
 def end_complement(t: BalloonTree, a: Iterable[str]) -> EndSet:
-    return frozenset(t.end_leaves) - _check_ends(t, a)
+    return t.end_leaf_set - _check_ends(t, a)
 
 
 def ends_disjoint(t: BalloonTree, a: Iterable[str], b: Iterable[str]) -> bool:

@@ -9,7 +9,7 @@ from endflow.errors import (
     CutTooShallowError,
     TreeMismatchError,
 )
-from endflow.extmath import INF
+from endflow.extmath import INF, is_inf
 from endflow.gen import random_preserving_word, random_star
 from endflow.measure import base_state
 from endflow.raystar import (
@@ -115,6 +115,14 @@ def test_edge_move_off_the_star_is_rejected(three_star):
     for edge in (("r0c0", "c"), ("r0c0", "r1e"), ("c", "r0e"), ("x", "y")):
         with pytest.raises(TreeMismatchError):
             builder.apply_edge_move(BalloonMove(edge, Fraction(1, 2)))
+
+
+def test_edge_move_beyond_the_region_mass_is_rejected(three_star):
+    # the center holds 4 and r0c0 holds 1
+    for amount in (Fraction(5), Fraction(-2)):
+        builder = _PLBuilder(three_star)
+        with pytest.raises(ArithmeticError):
+            builder.apply_edge_move(BalloonMove(("c", "r0c0"), amount))
 
 
 def test_compare_oracle_on_section_words(three_star):
@@ -235,3 +243,21 @@ def test_image_preimage_inverse(three_star, push_word_fixture):
     assert iset_mass(preimage_intervals(h, region)) == iset_mass(
         image_intervals(invert_plmap(h), region)
     )
+
+
+def test_cancelling_moves_realize_to_the_identity():
+    star = random_star(Random(81))
+    tree = star.to_tree()
+    mu = base_state(tree)
+    for edge in tree.edges:
+        d = min(m for m in map(mu.node_mass, edge) if not is_inf(m)) / 2
+        for sign in (1, -1):
+            w = MoveWord(
+                tree,
+                mu,
+                (BalloonMove(edge, sign * d), BalloonMove(edge, -sign * d)),
+            )
+            h = realize_word(star, w)
+            assert [(p.src, p.dst, p.lo, p.a, p.slope) for p in h.pieces] == [
+                (loc, loc, 0, 0, 1) for loc in range(star.ray_count + 1)
+            ]
