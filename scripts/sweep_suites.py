@@ -19,6 +19,9 @@ def main():
     parser.add_argument("--seeds", type=int, default=10)
     parser.add_argument("--cases", type=int, default=20)
     args = parser.parse_args()
+    for name in ("seeds", "cases"):
+        if getattr(args, name) < 1:
+            parser.error(f"--{name} must be at least 1")
 
     bad = 0
     start = time.monotonic()

@@ -106,6 +106,11 @@ def _require_valid(what: str, problems: list):
         raise serialize.SchemaError(f"invalid {what}: " + "; ".join(problems))
 
 
+def _require_at_least_one(flag: str, n: int):
+    if n < 1:
+        raise serialize.SchemaError(f"invalid {flag} {n}: need at least 1")
+
+
 def _flat_charge(c) -> dict:
     return {v: frac_str(x) for v, x in sorted(c.values.items())}
 
@@ -202,10 +207,7 @@ def cmd_push(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.cuts < 1:
-        raise serialize.SchemaError(
-            f"invalid --cuts {args.cuts}: need at least 1"
-        )
+    _require_at_least_one("--cuts", args.cuts)
     sc = Scenario.load(args)
     h = realize_word(sc.star, sc.word)
     flux_charge = charge_of_word(sc.word)
@@ -228,6 +230,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require_at_least_one("--cases", args.cases)
     if args.suite:
         if args.suite not in SUITES:
             raise serialize.SchemaError(f"unknown suite {args.suite!r}")

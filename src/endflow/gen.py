@@ -30,9 +30,8 @@ def random_tree(
     rng: Random,
     max_depth: int = 4,
     max_nodes: int = 24,
-    min_infinite: int = 2,
 ) -> BalloonTree:
-    """Random balloon tree with at least ``min_infinite`` infinite tails."""
+    """Random balloon tree with at least two infinite tails."""
     counter = [0]
 
     def fresh() -> str:
@@ -85,7 +84,7 @@ def random_tree(
         children[root] = (c,)
     infinite = [v for v, m in tails.items() if is_inf(m)]
     finite_pool = sorted(v for v in tails if not is_inf(tails[v]))
-    while len(infinite) < min_infinite:
+    while len(infinite) < 2:
         if finite_pool:
             v = finite_pool.pop(rng.randrange(len(finite_pool)))
             tails[v] = INF
@@ -161,8 +160,7 @@ def _random_shuffle_move(
 ) -> Optional[Rearrange]:
     patch = _connected_block_patch(rng, tree)
     patch = frozenset(v for v in patch if v not in avoid)
-    tops = [v for v in patch if tree.parent.get(v) not in patch]
-    if len(patch) < 2 or len(tops) != 1:
+    if len(patch) < 2 or tree.top(patch) is None:
         return None
     total = sum((runner.blocks[v] for v in patch), Fraction(0))
     order = sorted(patch)

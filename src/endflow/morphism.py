@@ -104,8 +104,7 @@ class TreeMorphism:
                 out.append(f"collapsed fiber of {tgt!r} contains an End leaf")
             if tgt in t.tails:
                 out.append(f"End leaf {tgt!r} has a multi-node fiber")
-            tops = [v for v in fiber if s.parent.get(v) not in fiber]
-            if len(tops) != 1:
+            if s.top(fiber) is None:
                 out.append(f"fiber of {tgt!r} is not connected")
         return out
 

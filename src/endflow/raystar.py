@@ -39,9 +39,9 @@ from .transport import (
     BalloonMove,
     MoveWord,
     Rearrange,
+    _preserves,
     _Runner,
     charge_of_word,
-    is_measure_preserving,
     rearrange_to_moves,
 )
 from .tree import BalloonTree
@@ -119,6 +119,10 @@ class RayStar:
         return f"r{i}e"
 
     def to_tree(self) -> BalloonTree:
+        return self._tree
+
+    @cached_property
+    def _tree(self) -> BalloonTree:
         children = {
             self.center_id(): tuple(
                 self.cell_id(i, 0) for i in range(self.ray_count)
@@ -438,7 +442,6 @@ class _PLBuilder:
 
     def __init__(self, star: RayStar):
         self.star = star
-        self.edges = frozenset(star.to_tree().edges)
         self.queues = {
             v: [(loc, lo, hi - lo, One)]
             for v, (loc, lo, hi) in star.node_intervals.items()
@@ -447,9 +450,9 @@ class _PLBuilder:
         self.queues[center] = _reverse(self.queues[center])
 
     def apply_edge_move(self, move: BalloonMove):
-        if move.edge not in self.edges:
-            raise TreeMismatchError(f"edge {move.edge!r} is not a star edge")
         parent, child = move.edge
+        if self.star.to_tree().parent.get(child) != parent:
+            raise TreeMismatchError(f"edge {move.edge!r} is not a star edge")
         q = self.queues
         if move.amount > 0:
             q[child] = _join(_take_back(q[parent], move.amount), q[child])
@@ -504,21 +507,17 @@ def realize_word(star: RayStar, word: MoveWord) -> PLMap:
     tree = star.to_tree()
     if word.tree != tree:
         raise TreeMismatchError("word does not live on the star's tree")
-    if not is_measure_preserving(word):
-        raise ChargeUndefinedError("only measure-preserving words realize")
     builder = _PLBuilder(star)
     runner = _Runner(word.base)
     for mv in word.moves:
+        edge_moves = [mv]
         if isinstance(mv, Rearrange):
-            submoves = rearrange_to_moves(
-                tree, runner.state(), mv.support, mv.masses
-            )
-            for sub in submoves:
-                builder.apply_edge_move(sub)
-            runner.apply(mv)
-        else:
-            builder.apply_edge_move(mv)
-            runner.apply(mv)
+            edge_moves = rearrange_to_moves(tree, runner, mv.support, mv.masses)
+        runner.apply(mv)
+        for sub in edge_moves:
+            builder.apply_edge_move(sub)
+    if not _preserves(word, runner):
+        raise ChargeUndefinedError("only measure-preserving words realize")
     return builder.to_plmap()
 
 
@@ -530,7 +529,6 @@ def charge_from_definition(star: RayStar, h: PLMap, cut) -> EndCharge:
         raise CutTooShallowError(
             f"cut {T} not beyond the last breakpoint {h.last_breakpoint()}"
         )
-    tree = star.to_tree()
     values = {}
     for i in range(star.ray_count):
         length = star.ray_length(i)
@@ -542,7 +540,7 @@ def charge_from_definition(star: RayStar, h: PLMap, cut) -> EndCharge:
         gained = iset_mass(iset_subtract(region, image))
         lost = iset_mass(iset_subtract(image, region))
         values[star.end_id(i)] = gained - lost
-    return EndCharge(tree, values)
+    return EndCharge(star.to_tree(), values)
 
 
 def compare_oracle(star: RayStar, word: MoveWord, cut=None) -> bool:

@@ -10,21 +10,24 @@ admissibility of the charge (the open-interval check in
 :func:`solve_balloon_parameter` is a bug sentinel, never a runtime
 branch).  Every piece outside such a cut is the full subtree under a
 hanging root, a node outside the cut whose parent is inside it, so the
-mass a word moves into the piece is the flux on that one edge.  :func:`build_section`
-carries the two evaluation states of f and g across the levels and
-collects each word's moves, building the words once at the end; the
-public :func:`align_step` replays two given words and runs one level
-through the same core.  The section yields the kernel factorization
-(:func:`factorize`) and the charge-linear retraction (:func:`retract`).
+mass a word moves into the piece is the flux on that one edge; its
+target there is the charge's subtree sum at that root, the same
+:meth:`BalloonTree.sums_below` table that gives :func:`forced_flux`.
+:func:`build_section` computes that table once, carries the two
+evaluation states of f and g across the levels and collects each word's
+moves, building the words once at the end; the public :func:`align_step`
+replays two given words and runs one level through the same core.  The
+section yields the kernel factorization (:func:`factorize`) and the
+charge-linear retraction (:func:`retract`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
-from .charge import EndCharge, charge_eval, scale_charge, validate_charge
+from .charge import EndCharge, scale_charge, validate_charge
 from .errors import (
     AlignPreconditionError,
     BadDecompositionError,
@@ -47,7 +50,7 @@ from .transport import (
     invert_word,
     route,
 )
-from .tree import BalloonTree, Region, check_region, region_ends
+from .tree import BalloonTree, Region, check_region
 
 
 @dataclass(frozen=True)
@@ -141,12 +144,7 @@ def forced_flux(t: BalloonTree, a: EndCharge) -> FluxField:
         raise TreeMismatchError("charge lives on a different tree")
     if not validate_charge(base_state(t), a):
         raise InvalidChargeError("charge is not admissible for this tree")
-    below = {}
-    for v in reversed(t.nodes):
-        s = a.values.get(v, Fraction(0)) if t.is_end_leaf(v) else Fraction(0)
-        for c in t.child_map(v):
-            s += below[c]
-        below[v] = s
+    below = t.sums_below(a.values)
     return FluxField(t, {(p, c): below[c] for (p, c) in t.edges})
 
 
@@ -262,7 +260,7 @@ def _align(
     outer: Region,
     runner: _Runner,
     target_runner: _Runner,
-    charge: EndCharge,
+    below: Mapping[str, Fraction],
     out_moves: List,
 ):
     """Advance ``runner`` by one correction level against ``target_runner``,
@@ -273,13 +271,15 @@ def _align(
     piece is the flux on the one edge above that root.  The correction is
     supported outside the inner cut; afterwards the runner matches the
     target's state on the outer cut and hits the charge's transfer targets
-    on every piece beyond it.  The hypotheses are checked first: the two
-    states agree on the inner cut, and their transfer difference already
-    equals the charge on every piece outside the inner cut.  Inside each
-    piece the deep balloons (the pieces outside the outer cut hanging from
-    the piece's core) are settled one at a time, drawing mass from the
-    not-yet-settled remainder through the feasibility gauge, and a final
-    rearrangement fixes the core to the target state.
+    on every piece beyond it, read as ``below[v]`` for the piece under
+    ``v`` from the charge's :meth:`BalloonTree.sums_below` table.  The
+    hypotheses are checked first: the two states agree on the inner cut,
+    and their transfer difference already equals the charge on every piece
+    outside the inner cut.  Inside each piece the deep balloons (the pieces
+    outside the outer cut hanging from the piece's core) are settled one at
+    a time, drawing mass from the not-yet-settled remainder through the
+    feasibility gauge, and a final rearrangement fixes the core to the
+    target state.
     """
     inner = check_region(tree, inner)
     outer = check_region(tree, outer)
@@ -301,29 +301,21 @@ def _align(
         p = tree.parent.get(root)
         return Fraction(0) if p is None else r.flux[(p, root)]
 
-    def needed(root: str, piece: Region) -> Fraction:
-        """Transfer into the piece that puts the runner at the charge
-        relative to the target."""
-        return charge_eval(
-            charge, region_ends(tree, piece)
-        ) + inflow(target_runner, root)
-
-    pieces = [(h, tree.subtree(h)) for h in _hanging(tree, inner)]
-    for h, A in pieces:
-        want = charge_eval(charge, region_ends(tree, A))
+    hanging = _hanging(tree, inner)
+    for h in hanging:
         have = inflow(runner, h) - inflow(target_runner, h)
-        if have != want:
+        if have != below[h]:
             raise AlignPreconditionError(
                 f"transfer mismatch on a component outside the inner cut: "
-                f"{have} != {want}"
+                f"{have} != {below[h]}"
             )
 
-    for h, A in pieces:
-        core = A & outer
+    for h in hanging:
+        core = tree.subtree(h) & outer
         if not core:
             # the piece lies entirely beyond the outer cut; its target is
             # already met by the hypothesis check above
-            if inflow(runner, h) != needed(h, A):
+            if inflow(runner, h) != below[h] + inflow(target_runner, h):
                 raise AlignPreconditionError(
                     "untouched component drifted from its target"
                 )
@@ -332,7 +324,7 @@ def _align(
         # roots inside this piece
         deeps = [(hb, tree.subtree(hb)) for hb in _hanging(tree, core)]
         for j, (hb, B) in enumerate(deeps):
-            target = needed(hb, B) - inflow(runner, hb)
+            target = below[hb] + inflow(target_runner, hb) - inflow(runner, hb)
             rest = core.union(*(D for _, D in deeps[j + 1 :]))
             solve_balloon_parameter(runner.state(), B, rest, target)
             if target == 0:
@@ -373,7 +365,8 @@ def align_step(
     target_runner = _replay(target_word)
     start = runner.state()
     h_moves: List = []
-    _align(tree, inner, outer, runner, target_runner, charge, h_moves)
+    below = tree.sums_below(charge.values)
+    _align(tree, inner, outer, runner, target_runner, below, h_moves)
     return MoveWord(tree, start, tuple(h_moves))
 
 
@@ -407,7 +400,8 @@ def build_section(
     levels = list(ex.levels)
     if len(levels) % 2:
         levels.append(levels[-1])
-    neg_a = scale_charge(Fraction(-1), a)
+    below = tree.sums_below(a.values)
+    neg_below = {v: -x for v, x in below.items()}
 
     fr, gr = _Runner(mu), _Runner(mu)
     f_moves: List = []
@@ -415,8 +409,8 @@ def build_section(
     prev: Region = frozenset()
     for k in range(0, len(levels), 2):
         K, L = levels[k], levels[k + 1]
-        _align(tree, prev, K, fr, gr, a, f_moves)
-        _align(tree, K, L, gr, fr, neg_a, g_moves)
+        _align(tree, prev, K, fr, gr, below, f_moves)
+        _align(tree, K, L, gr, fr, neg_below, g_moves)
         prev = L
     f = MoveWord(tree, mu, tuple(f_moves))
     g = MoveWord(tree, mu, tuple(g_moves))

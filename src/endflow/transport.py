@@ -12,8 +12,11 @@ state:
 A ``FluxField`` tracks, per edge, the cumulative net mass moved from the
 parent side into the subtree below.  For a measure-preserving word the
 flux on the edge into each End leaf is the net mass sent toward that end;
-collecting these leaf values yields the word's end charge.  Two words are
-considered equal extensionally: same final state and same flux field.
+collecting these leaf values yields the word's end charge.  A
+``Rearrange`` adds to each edge inside its support the subtree sum of its
+mass changes (:meth:`BalloonTree.sums_below`), the same Kirchhoff sum
+that forces the flux of a charge.  Two words are considered equal
+extensionally: same final state and same flux field.
 """
 
 from __future__ import annotations
@@ -113,9 +116,6 @@ class FluxField:
     def __getitem__(self, edge: Edge) -> Fraction:
         return self.flux[edge]
 
-    def leaf_flux(self, leaf: str) -> Fraction:
-        return self.flux[self.tree.leaf_edge(leaf)]
-
     def divergence(self, node: str) -> Fraction:
         """Net inflow minus outflow at a block node (zero under Kirchhoff)."""
         t = self.tree
@@ -171,7 +171,6 @@ class _Runner:
     def _apply_balloon(self, move: BalloonMove):
         p, c = move.edge
         d = move.amount
-        t = self.tree
         if (p, c) not in self.flux:
             raise TreeMismatchError(f"no edge {move.edge!r} in the tree")
         if p in self.tails:
@@ -203,48 +202,41 @@ class _Runner:
         self.flux[(p, c)] += d
 
     def _apply_rearrange(self, move: Rearrange):
-        t = self.tree
-        sup = move.support
-        if not sup:
-            raise BadSupportError("empty rearrangement support")
-        if set(move.masses) != set(sup):
-            raise BadSupportError("masses must cover exactly the support")
-        for v in sup:
-            if v in self.tails:
-                raise BadSupportError(f"support touches tail {v!r}")
-            if v not in self.blocks:
-                raise BadSupportError(f"support node {v!r} not in tree")
-        # connectivity: every support node except one must have its parent
-        # in the support
-        tops = [v for v in sup if t.parent.get(v) not in sup]
-        if len(tops) != 1:
-            raise BadSupportError("support is not connected")
-        for v, m in move.masses.items():
-            if m <= 0:
-                raise NonPositiveBlockError(
-                    f"rearranged mass at {v!r} is {m}"
-                )
-        old_total = sum((self.blocks[v] for v in sup), Fraction(0))
-        new_total = sum(move.masses.values(), Fraction(0))
-        if old_total != new_total:
-            raise MassNotConservedError(
-                f"support mass {old_total} != rearranged mass {new_total}"
-            )
-        delta = {v: move.masses[v] - self.blocks[v] for v in sup}
+        top = _check_rearrange(self.tree, self, move.support, move.masses)
+        delta = {v: move.masses[v] - self.blocks[v] for v in move.support}
         # Kirchhoff-consistent attribution: each edge picks up the total
-        # mass change strictly below it (nonzero only inside the support).
-        below: dict = {}
-        for v in reversed(self.tree.nodes):
-            s = delta.get(v, Fraction(0))
-            for c in t.child_map(v):
-                s += below.get(c, Fraction(0))
-            below[v] = s
-        for (p, c) in t.edges:
-            b = below.get(c, Fraction(0))
-            if b:
-                self.flux[(p, c)] += b
-        for v in sup:
+        # mass change below it, zero outside the mass-conserving support.
+        below = self.tree.sums_below(delta, move.support)
+        for v in move.support:
+            if v != top:
+                self.flux[(self.tree.parent[v], v)] += below[v]
             self.blocks[v] = move.masses[v]
+
+
+def _check_rearrange(tree: BalloonTree, state, support, masses) -> str:
+    """Check a rearrangement of ``state``; return the support's top node."""
+    if not support:
+        raise BadSupportError("empty rearrangement support")
+    if set(masses) != set(support):
+        raise BadSupportError("masses must cover exactly the support")
+    for v in support:
+        if v in state.tails:
+            raise BadSupportError(f"support touches tail {v!r}")
+        if v not in state.blocks:
+            raise BadSupportError(f"support node {v!r} not in tree")
+    top = tree.top(support)
+    if top is None:
+        raise BadSupportError("support is not connected")
+    for v, m in masses.items():
+        if m <= 0:
+            raise NonPositiveBlockError(f"rearranged mass at {v!r} is {m}")
+    old_total = sum((state.blocks[v] for v in support), Fraction(0))
+    new_total = sum(masses.values(), Fraction(0))
+    if old_total != new_total:
+        raise MassNotConservedError(
+            f"support mass {old_total} != rearranged mass {new_total}"
+        )
+    return top
 
 
 def apply_move(
@@ -367,28 +359,24 @@ def route(
 
 def rearrange_to_moves(
     tree: BalloonTree,
-    state: MeasureState,
+    state,
     support: Iterable[str],
     new_masses: Mapping[str, Fraction],
 ) -> List[BalloonMove]:
-    """Decompose a rearrangement into edge moves with the same flux effect.
+    """Decompose a rearrangement of ``state`` (a measure state or a runner)
+    into edge moves with the same flux effect.
 
-    Surpluses are routed to the support's top node first, then deficits are
-    served from there; every intermediate stop receives before it sends, so
-    positivity never breaks.
+    The runner's checks run first.  Surpluses are routed to the support's
+    top node, then deficits are served from there; every intermediate stop
+    receives before it sends, so positivity never breaks.
     """
     sup = frozenset(support)
-    top = [v for v in sup if tree.parent.get(v) not in sup]
-    if len(top) != 1:
-        raise BadSupportError("support is not connected")
-    anchor = top[0]
+    new = {v: as_frac(m) for v, m in new_masses.items()}
+    anchor = _check_rearrange(tree, state, sup, new)
     cur = {v: state.blocks[v] for v in sup}
-    new = {v: as_frac(new_masses[v]) for v in sup}
-    if sum(cur.values(), Fraction(0)) != sum(new.values(), Fraction(0)):
-        raise MassNotConservedError("rearrangement changes the support mass")
     # a node sends its surplus or receives its deficit, never both, so the
     # starting masses settle both passes
-    order = [v for v in tree.nodes if v in sup and v != anchor]
+    order = sorted(sup - {anchor}, key=tree.preorder_index.__getitem__)
     moves: List[BalloonMove] = []
     for v in order:
         if cur[v] > new[v]:

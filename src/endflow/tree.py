@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import FrozenSet, Iterable, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from .errors import MalformedRegionError
 from .extmath import ExtMass, as_frac, as_mass, is_inf
@@ -167,6 +167,25 @@ class BalloonTree:
 
     def leaf_edge(self, leaf: str) -> Edge:
         return (self.parent[leaf], leaf)
+
+    def top(self, region: FrozenSet[str]) -> Optional[str]:
+        """Sole node of the region whose parent is outside it, else None."""
+        tops = [v for v in region if self.parent.get(v) not in region]
+        return tops[0] if len(tops) == 1 else None
+
+    def sums_below(self, values, region=None) -> Dict[str, Fraction]:
+        """Each node's subtree sum of ``values`` (zero where omitted) over a
+        connected region, the whole tree by default: the Kirchhoff sum a
+        conservative flux carries across the edge above the node."""
+        region = self.node_set if region is None else region
+        below = {}
+        for v in sorted(region, key=self.preorder_index.__getitem__)[::-1]:
+            s = values.get(v, Fraction(0))
+            for c in self.children.get(v, ()):
+                if c in region:
+                    s += below[c]
+            below[v] = s
+        return below
 
     def path(self, a: str, b: str) -> Tuple[str, ...]:
         """Node sequence of the unique tree path from a to b."""

@@ -179,6 +179,11 @@ INVALID_INPUTS = {
     "oracle_negative_cuts": [
         "oracle", "--star", "{star}", "--word", "{empty_word}", "--cuts", "-1"
     ],
+    "verify_zero_cases": ["verify", "--cases", "0"],
+    "verify_negative_cases": ["verify", "--cases", "-3"],
+    "verify_suite_negative_cases": [
+        "verify", "--suite", "homomorphism", "--cases", "-3"
+    ],
     "validate_missing_tails_with_charge": [
         "validate", "--tree", "{tree}", "--measure", "{measure_no_tails}",
         "--charge", "{charge}",

@@ -17,6 +17,7 @@ from endflow.transport import (
     FluxField,
     MoveWord,
     Rearrange,
+    _Runner,
     apply_move,
     apply_word,
     charge_of_word,
@@ -77,30 +78,19 @@ def test_move_below_zero_raises(star_tree):
 def test_rearrange_guards(star_tree):
     mu = base_state(star_tree)
     zero = FluxField(star_tree, {})
-    with pytest.raises(MassNotConservedError):
-        apply_move(
-            mu,
-            zero,
-            Rearrange(
-                frozenset({"r", "u"}), {"r": Fraction(1), "u": Fraction(1)}
-            ),
-        )
-    with pytest.raises(BadSupportError):
-        apply_move(
-            mu,
-            zero,
-            Rearrange(
-                frozenset({"u", "v"}), {"u": Fraction(2), "v": Fraction(1)}
-            ),
-        )
-    with pytest.raises(BadSupportError):
-        apply_move(
-            mu,
-            zero,
-            Rearrange(
-                frozenset({"r", "l3"}), {"r": Fraction(4), "l3": Fraction(5)}
-            ),
-        )
+    bad = [
+        (MassNotConservedError, {"r": Fraction(1), "u": Fraction(1)}),
+        (BadSupportError, {"u": Fraction(2), "v": Fraction(1)}),
+        (BadSupportError, {"r": Fraction(4), "l3": Fraction(5)}),
+    ]
+    for err, masses in bad:
+        mv = Rearrange(frozenset(masses), masses)
+        with pytest.raises(err) as applied:
+            apply_move(mu, zero, mv)
+        # the decomposition runs the runner's checks, so it fails alike
+        with pytest.raises(err) as decomposed:
+            rearrange_to_moves(star_tree, mu, mv.support, mv.masses)
+        assert str(decomposed.value) == str(applied.value)
 
 
 def test_empty_word_is_identity(star_tree):
@@ -223,11 +213,12 @@ def test_rearrange_decomposition_matches():
         t = random_tree(rng)
         mu = base_state(t)
         w = random_preserving_word(rng, t, mu, transfers=0, shuffles=3)
-        shuffles = [m for m in w.moves if isinstance(m, Rearrange)]
-        if not shuffles:
-            continue
-        mv = shuffles[0]
-        moves = rearrange_to_moves(t, mu, mv.support, mv.masses)
-        direct = MoveWord(t, mu, (mv,))
-        routed = MoveWord(t, mu, tuple(moves))
-        assert extensionally_equal(direct, routed)
+        runner = _Runner(mu)
+        for mv in w.moves:
+            if isinstance(mv, Rearrange):
+                before = runner.state()
+                moves = rearrange_to_moves(t, runner, mv.support, mv.masses)
+                direct = MoveWord(t, before, (mv,))
+                routed = MoveWord(t, before, tuple(moves))
+                assert extensionally_equal(direct, routed)
+            runner.apply(mv)

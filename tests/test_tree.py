@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from endflow.errors import MalformedRegionError
 from endflow.extmath import INF
+from endflow.gen import random_tree
 from endflow.tree import (
     BalloonTree,
     compactly_equivalent,
@@ -125,3 +127,71 @@ def test_compact_equivalence_matches_end_sets(star_tree, a, b):
     assert compactly_equivalent(t, a, b) == (
         region_ends(t, a) == region_ends(t, b)
     )
+
+
+def _connected(tree, region):
+    """Brute force: the region is reachable from any one of its nodes
+    through parent and child links inside it."""
+    if not region:
+        return False
+    start = next(iter(region))
+    seen, stack = {start}, [start]
+    while stack:
+        v = stack.pop()
+        for w in (tree.parent.get(v), *tree.child_map(v)):
+            if w in region and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == region
+
+
+def _patches(rng, tree):
+    """Connected patches grown from random nodes and from the root, every
+    single node, and random (mostly disconnected) node sets."""
+    out = [frozenset({v}) for v in tree.nodes]
+    for start in [tree.root] * 3 + rng.sample(tree.nodes, 3):
+        patch = {start}
+        for _ in range(rng.randint(1, 6)):
+            grow = sorted(
+                w
+                for v in patch
+                for w in (tree.parent.get(v), *tree.child_map(v))
+                if w is not None and w not in patch
+            )
+            if grow:
+                patch.add(rng.choice(grow))
+        out.append(frozenset(patch))
+    for _ in range(4):
+        out.append(frozenset(v for v in tree.nodes if rng.random() < 0.4))
+    return out
+
+
+def test_top_and_sums_below_match_brute_force():
+    rng = Random(51)
+    disconnected = 0
+    for _ in range(30):
+        tree = random_tree(rng)
+        assert tree.top(frozenset()) is None
+        values = {
+            v: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            for v in tree.nodes
+        }
+        whole = tree.sums_below(values)
+        assert whole == {
+            v: sum((values[u] for u in tree.subtree(v)), Fraction(0))
+            for v in tree.nodes
+        }
+        for region in _patches(rng, tree):
+            if not _connected(tree, region):
+                disconnected += 1
+                assert tree.top(region) is None
+                continue
+            top = min(region, key=tree.depth.__getitem__)
+            assert tree.top(region) == top
+            assert tree.sums_below(values, region) == {
+                v: sum(
+                    (values[u] for u in tree.subtree(v) & region), Fraction(0)
+                )
+                for v in region
+            }
+    assert disconnected > 0
