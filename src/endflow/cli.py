@@ -6,6 +6,10 @@ strings; given the same inputs and seed the output is byte-identical.
 
 Exit codes: 0 success, 2 validation failure, 3 internal invariant
 violation (the feasibility sentinel), 4 I/O trouble.
+
+The argument parser is built once per process, on the first ``main()``
+call, and reused by every later call; each call parses into a fresh
+namespace and nothing mutates the parser after it is built.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from . import serialize
@@ -316,9 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except InfeasibleTransferError as e:

@@ -196,8 +196,7 @@ def random_preserving_word(
         mv = _random_shuffle_move(rng, tree, runner, avoid)
         if mv is None:
             continue
-        undo.append(Rearrange(mv.support, {v: runner.blocks[v] for v in mv.support}))
-        runner.apply(mv)
+        undo.append(Rearrange(mv.support, runner.apply(mv)))
         moves.append(mv)
     infinite = [
         v

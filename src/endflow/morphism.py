@@ -174,11 +174,13 @@ def pull_charge(pi: TreeMorphism, a: EndCharge) -> EndCharge:
 
 
 def _push_moves(pi: TreeMorphism, word: MoveWord, skip_collapsed: bool):
-    """Map moves edgewise; a source-side runner supplies the masses that
-    collapsed fiber-mates contribute to pushed rearrangements."""
+    """Map moves edgewise; a source-side runner checks each move first,
+    then supplies the masses of whole fibers for pushed rearrangements
+    (fiber-mates outside a shuffle's support keep their mass)."""
     runner = _Runner(word.base)
     out = []
     for mv in word.moves:
+        runner.apply(mv)
         if isinstance(mv, BalloonMove):
             p, c = mv.edge
             mp, mc = pi.node_map[p], pi.node_map[c]
@@ -197,17 +199,13 @@ def _push_moves(pi: TreeMorphism, word: MoveWord, skip_collapsed: bool):
                         "rearrangement supported inside a collapsed fiber"
                     )
             else:
-                masses = {}
-                for tgt in mapped:
-                    tot = Fraction(0)
-                    for v in pi.fibers[tgt]:
-                        if v in mv.support:
-                            tot += mv.masses[v]
-                        else:
-                            tot += runner.blocks[v]
-                    masses[tgt] = tot
+                masses = {
+                    tgt: sum(
+                        (runner.blocks[v] for v in pi.fibers[tgt]), Fraction(0)
+                    )
+                    for tgt in mapped
+                }
                 out.append(Rearrange(mapped, masses))
-        runner.apply(mv)
     return out
 
 

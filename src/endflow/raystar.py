@@ -150,6 +150,11 @@ class RayStar:
     @classmethod
     def from_tree(cls, tree: BalloonTree, rays: int, depth: int) -> "RayStar":
         """Rebuild a star from a tree with the canonical chain shape."""
+        def weight(v):
+            if v not in tree.weights:
+                raise ValueError(f"block {v!r} has no weight")
+            return tree.weights[v]
+
         root = tree.root
         kids = tree.child_map(root)
         if len(kids) != rays:
@@ -162,7 +167,7 @@ class RayStar:
             for k in range(depth):
                 if tree.is_end_leaf(v):
                     raise ValueError(f"ray {i} shorter than the depth")
-                ray.append(tree.weights[v])
+                ray.append(weight(v))
                 nxt = tree.child_map(v)
                 if len(nxt) != 1:
                     raise ValueError(f"ray {i} is not a chain")
@@ -171,7 +176,7 @@ class RayStar:
                 raise ValueError(f"ray {i} does not end in an End leaf")
             cells.append(tuple(ray))
             tails.append(tree.tails[v])
-        return cls(tree.weights[root], tuple(cells), tuple(tails))
+        return cls(weight(root), tuple(cells), tuple(tails))
 
 
 @dataclass(frozen=True)

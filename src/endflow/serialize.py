@@ -166,7 +166,7 @@ def word_from_json(tree: BalloonTree, base: MeasureState, doc: dict) -> MoveWord
         if "balloon" in entry:
             b = entry["balloon"]
             edge = _need(b, "edge", list, f"word move {i}")
-            if len(edge) != 2:
+            if len(edge) != 2 or not all(isinstance(v, str) for v in edge):
                 raise SchemaError(f"word move {i}: edge needs two node ids")
             try:
                 amount = parse_frac(_need(b, "amount", str, f"word move {i}"))
@@ -176,6 +176,8 @@ def word_from_json(tree: BalloonTree, base: MeasureState, doc: dict) -> MoveWord
         elif "rearrange" in entry:
             r = entry["rearrange"]
             support = _need(r, "support", list, f"word move {i}")
+            if not all(isinstance(v, str) for v in support):
+                raise SchemaError(f"word move {i}: support needs node ids")
             masses = _need(r, "masses", dict, f"word move {i}")
             try:
                 moves.append(

@@ -161,10 +161,12 @@ class _Runner:
         return FluxField(self.tree, dict(self.flux))
 
     def apply(self, move: Move):
+        """Check and apply one move; a rearrangement returns the masses
+        it replaced."""
         if isinstance(move, BalloonMove):
             self._apply_balloon(move)
         elif isinstance(move, Rearrange):
-            self._apply_rearrange(move)
+            return self._apply_rearrange(move)
         else:
             raise TypeError(f"unknown move {move!r}")
 
@@ -203,7 +205,8 @@ class _Runner:
 
     def _apply_rearrange(self, move: Rearrange):
         top = _check_rearrange(self.tree, self, move.support, move.masses)
-        delta = {v: move.masses[v] - self.blocks[v] for v in move.support}
+        old = {v: self.blocks[v] for v in move.support}
+        delta = {v: move.masses[v] - old[v] for v in move.support}
         # Kirchhoff-consistent attribution: each edge picks up the total
         # mass change below it, zero outside the mass-conserving support.
         below = self.tree.sums_below(delta, move.support)
@@ -211,6 +214,7 @@ class _Runner:
             if v != top:
                 self.flux[(self.tree.parent[v], v)] += below[v]
             self.blocks[v] = move.masses[v]
+        return old
 
 
 def _check_rearrange(tree: BalloonTree, state, support, masses) -> str:
@@ -314,12 +318,11 @@ def invert_word(word: MoveWord) -> MoveWord:
     r = _Runner(word.base)
     inv: List[Move] = []
     for m in word.moves:
+        replaced = r.apply(m)
         if isinstance(m, Rearrange):
-            old = {v: r.blocks[v] for v in m.support}
-            inv.append(Rearrange(m.support, old))
+            inv.append(Rearrange(m.support, replaced))
         else:
             inv.append(BalloonMove(m.edge, -m.amount))
-        r.apply(m)
     return MoveWord(word.tree, r.state(), tuple(reversed(inv)))
 
 

@@ -10,10 +10,17 @@ import pytest
 from endflow import serialize
 from endflow.charge import EndCharge
 from endflow.cli import main
-from endflow.gen import random_preserving_word, random_star
+from endflow.gen import (
+    random_morphism,
+    random_preserving_word,
+    random_star,
+    random_state,
+    random_tree,
+    random_valid_charge,
+)
 from endflow.measure import base_state
 from endflow.morphism import identity_morphism
-from endflow.transport import BalloonMove, MoveWord
+from endflow.transport import BalloonMove, MoveWord, Rearrange
 
 
 @pytest.fixture
@@ -138,6 +145,22 @@ def invalid_files(files, star_tree):
     for node in bad_star["nodes"]:
         if node["id"] == star.cell_id(0, 0):
             node["weight"] = "-1"
+    no_weight_star = serialize.star_to_json(star)
+    for node in no_weight_star["nodes"]:
+        if node["id"] == star.cell_id(0, 0):
+            del node["weight"]
+    word = serialize.word_to_json(
+        MoveWord(star_tree, base_state(star_tree), (
+            BalloonMove(("r", "u"), Fraction(1)),
+            Rearrange(frozenset({"r", "u"}), {"r": Fraction(3), "u": Fraction(3)}),
+        ))
+    )
+    list_in_edge = json.loads(json.dumps(word))
+    list_in_edge["moves"][0]["balloon"]["edge"][1] = ["u"]
+    object_in_support = json.loads(json.dumps(word))
+    object_in_support["moves"][1]["rearrange"]["support"][0] = {"id": "r"}
+    foreign_node = json.loads(json.dumps(word))
+    foreign_node["moves"][0]["balloon"]["edge"] = ["r", "zz"]
     morphism = serialize.morphism_to_json(identity_morphism(star_tree))
     bad_source = json.loads(json.dumps(morphism))
     for node in bad_source["source"]["nodes"]:
@@ -150,7 +173,11 @@ def invalid_files(files, star_tree):
         "measure_no_tails": {"blocks": base["blocks"], "tails": {}},
         "star": serialize.star_to_json(star),
         "bad_star": bad_star,
+        "no_weight_star": no_weight_star,
         "empty_word": {"moves": []},
+        "list_in_edge": list_in_edge,
+        "object_in_support": object_in_support,
+        "foreign_node": foreign_node,
     }
     paths = {k: v for k, v in files.items() if k != "dir"}
     for name, doc in docs.items():
@@ -194,17 +221,46 @@ INVALID_INPUTS = {
     "validate_nonpositive_source_weight": [
         "validate", "--tree", "{tree}", "--morphism", "{bad_source_morphism}"
     ],
+    "charge_list_in_edge": [
+        "charge", "--tree", "{tree}", "--word", "{list_in_edge}"
+    ],
+    "factorize_object_in_support": [
+        "factorize", "--tree", "{tree}", "--word", "{object_in_support}"
+    ],
+    "push_foreign_node": [
+        "push", "--morphism", "{morphism}", "--word", "{foreign_node}"
+    ],
+    "oracle_star_missing_weight": [
+        "oracle", "--star", "{no_weight_star}", "--word", "{empty_word}"
+    ],
+    "validate_star_missing_weight": [
+        "validate", "--tree", "{tree}", "--star", "{no_weight_star}"
+    ],
+}
+
+# faults that stop the command while its documents load, so even
+# ``validate`` writes no report; every other case is reported as
+# "validation error: invalid ..." (or by ``validate``'s report)
+LOAD_FAULTS = {
+    "charge_list_in_edge": "validation error: word move 0: edge needs two node ids",
+    "factorize_object_in_support": "validation error: word move 1: support needs node ids",
+    "push_foreign_node": "validation error: no edge ('r', 'zz') in the tree",
+    "oracle_star_missing_weight": "validation error: star: block 'r0c0' has no weight",
+    "validate_star_missing_weight": "validation error: star: block 'r0c0' has no weight",
 }
 
 
 @pytest.mark.parametrize(
-    "argv", INVALID_INPUTS.values(), ids=INVALID_INPUTS.keys()
+    "case, argv", INVALID_INPUTS.items(), ids=INVALID_INPUTS.keys()
 )
-def test_invalid_input_exits_2_without_traceback(invalid_files, argv):
+def test_invalid_input_exits_2_without_traceback(invalid_files, case, argv):
     proc = _run_cli(*(a.format(**invalid_files) for a in argv))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    if argv[0] == "validate":
+    if case in LOAD_FAULTS:
+        assert proc.stdout == ""
+        assert proc.stderr == LOAD_FAULTS[case] + "\n"
+    elif argv[0] == "validate":
         assert json.loads(proc.stdout)["valid"] is False
     else:
         assert proc.stdout == ""
@@ -313,3 +369,187 @@ def test_malformed_json_is_validation_error(tmp_path):
     p = tmp_path / "garbage.json"
     p.write_text("{not json")
     assert main(["validate", "--tree", str(p)]) == 2
+
+
+def test_parser_is_built_once_and_reused(files, tmp_path, capsys, monkeypatch):
+    from endflow import cli
+
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    out = tmp_path / "out.json"
+    tree, word, charge = files["tree"], files["word"], files["charge"]
+    calls = [
+        ["validate", "--tree", tree, "--word", word, "--charge", charge],
+        ["section", "--tree", tree, "--charge", charge, "--out", str(out)],
+        ["charge", "--tree", tree, "--word", word],
+        ["factorize", "--tree", tree, "--word", word, "--out", str(out)],
+        ["section", "--tree", tree],  # usage error: --charge is required
+        ["charge", "--help"],
+        ["verify", "--cases", "1", "--out", str(out)],
+    ]
+
+    def run(argv):
+        out.unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        printed = capsys.readouterr()
+        written = out.read_bytes() if out.exists() else None
+        return code, printed.out, printed.err, written
+
+    first = [run(argv) for argv in calls]
+    second = [run(argv) for argv in calls]
+    assert first == second
+    assert [r[0] for r in first] == [0, 0, 0, 0, 2, 0, 0]
+    assert "the following arguments are required: --charge" in first[4][2]
+    assert len(built) <= 1
+
+
+def _fuzz_scenarios(count):
+    """Valid documents for every command, on small seeded inputs."""
+    out = []
+    for seed in range(count):
+        rng = Random(seed)
+        tree = random_tree(rng, max_depth=3, max_nodes=16)
+        mu = random_state(rng, tree)
+        pi = random_morphism(rng, max_depth=2)
+        src_mu = random_state(rng, pi.source)
+        star = random_star(rng)
+        star_tree = star.to_tree()
+        out.append(
+            {
+                "tree": serialize.tree_to_json(tree),
+                "measure": serialize.state_to_json(mu),
+                "word": serialize.word_to_json(
+                    random_preserving_word(rng, tree, mu)
+                ),
+                "charge": serialize.charge_to_json(
+                    random_valid_charge(rng, tree, mu)
+                ),
+                "morphism": serialize.morphism_to_json(pi),
+                "src_measure": serialize.state_to_json(src_mu),
+                "src_word": serialize.word_to_json(
+                    random_preserving_word(
+                        rng, pi.source, src_mu, avoid=pi.collapsed_nodes
+                    )
+                ),
+                "src_charge": serialize.charge_to_json(
+                    random_valid_charge(rng, pi.source, src_mu)
+                ),
+                "star": serialize.star_to_json(star),
+                "star_word": serialize.word_to_json(
+                    random_preserving_word(rng, star_tree, base_state(star_tree))
+                ),
+            }
+        )
+    return out
+
+
+# each command with the flags it reads and the document each names
+FUZZ_COMMANDS = {
+    "charge": [("--tree", "tree"), ("--measure", "measure"), ("--word", "word")],
+    "section": [
+        ("--tree", "tree"), ("--measure", "measure"), ("--charge", "charge")
+    ],
+    "factorize": [
+        ("--tree", "tree"), ("--measure", "measure"), ("--word", "word")
+    ],
+    "retract": [
+        ("--tree", "tree"), ("--measure", "measure"), ("--word", "word")
+    ],
+    "validate": [
+        ("--tree", "tree"), ("--measure", "measure"), ("--charge", "charge"),
+        ("--word", "word"), ("--morphism", "morphism"), ("--star", "star"),
+    ],
+    "oracle": [("--star", "star"), ("--word", "star_word")],
+    "push": [
+        ("--morphism", "morphism"), ("--measure", "src_measure"),
+        ("--charge", "src_charge"), ("--word", "src_word"),
+    ],
+}
+FUZZ_EXTRA = {"retract": ["--tau", "1/2"], "oracle": ["--cuts", "2"]}
+FUZZ_JUNK = [None, [], {}, 1.5, -2.0, 0.0, "1/0", "inf", "zz", "1.5"]
+
+
+def _slots(doc):
+    """Every (container, key) pair inside a document, nested ones too."""
+    out = []
+    keys = doc.keys() if isinstance(doc, dict) else range(len(doc))
+    for k in keys:
+        out.append((doc, k))
+        if isinstance(doc[k], (dict, list)):
+            out += _slots(doc[k])
+    return out
+
+
+def _mutate(rng, doc):
+    """Drop, duplicate or replace one nested key or item; return a note.
+
+    A replacement is junk (drawn twice as often) or a node id taken from
+    the same document, which can close a cycle, repeat a child or swap the
+    ends of an edge."""
+    slots = _slots(doc)
+    if not slots:
+        return "empty"
+    box, key = rng.choice(slots)
+    op = rng.choice(["drop", "dup", "junk", "junk", "own_id"])
+    if op == "drop":
+        del box[key]
+    elif op == "dup" and isinstance(box, list):
+        box.insert(key, json.loads(json.dumps(box[key])))
+    elif op == "dup":
+        box[rng.choice(["zz", "1.5"])] = json.loads(json.dumps(box[key]))
+    elif op == "own_id":
+        box[key] = rng.choice(sorted(_node_ids(doc)) or ["zz"])
+    else:
+        box[key] = json.loads(json.dumps(rng.choice(FUZZ_JUNK)))
+    return f"{op} {key!r}"
+
+
+def _node_ids(doc):
+    """The values under "id" keys and the keys of "map", anywhere in doc."""
+    out = set()
+    for box, key in _slots(doc):
+        if key == "id" and isinstance(box[key], str):
+            out.add(box[key])
+        elif key == "map" and isinstance(box[key], dict):
+            out.update(box[key])
+    return out
+
+
+def test_mutated_documents_end_in_documented_exit_codes(tmp_path, capsys):
+    """Seeded mutations of valid documents: every in-process run ends in
+    exit code 0, 2, 3 or 4, and no exception escapes ``main``."""
+    rng = Random(2005)
+    scenarios = _fuzz_scenarios(8)
+    commands = sorted(FUZZ_COMMANDS)
+    codes = {}
+    for k in range(1500):
+        command = commands[k % len(commands)]
+        flags = FUZZ_COMMANDS[command]
+        docs = json.loads(json.dumps(rng.choice(scenarios)))
+        notes = []
+        for _ in range(rng.randint(1, 3)):
+            name = rng.choice(flags)[1]
+            notes.append(f"{name}: {_mutate(rng, docs[name])}")
+        argv = [command, *FUZZ_EXTRA.get(command, [])]
+        for flag, name in flags:
+            p = tmp_path / f"{name}.json"
+            p.write_text(json.dumps(docs[name]))
+            argv += [flag, str(p)]
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as e:
+            pytest.fail(f"case {k} {command} {notes}: {e!r}")
+        capsys.readouterr()
+        assert code in (0, 2, 3, 4), (k, command, notes, code)
+        codes[code] = codes.get(code, 0) + 1
+    # the mutations must reach past the loaders as well as into them
+    assert codes.get(0, 0) > 50 and codes.get(2, 0) > 1000

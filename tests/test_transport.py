@@ -91,6 +91,10 @@ def test_rearrange_guards(star_tree):
         with pytest.raises(err) as decomposed:
             rearrange_to_moves(star_tree, mu, mv.support, mv.masses)
         assert str(decomposed.value) == str(applied.value)
+        # so does inverting the one-move word: the runner checks first
+        with pytest.raises(err) as inverted:
+            invert_word(MoveWord(star_tree, mu, (mv,)))
+        assert str(inverted.value) == str(applied.value)
 
 
 def test_empty_word_is_identity(star_tree):
