@@ -5,7 +5,9 @@ write JSON to stdout or ``--out``.  All numeric output is exact-rational
 strings; given the same inputs and seed the output is byte-identical.
 
 Exit codes: 0 success, 2 validation failure, 3 internal invariant
-violation (the feasibility sentinel), 4 I/O trouble.
+violation (the feasibility sentinel or a broken ray-star realization),
+4 I/O trouble.  A validation error raised by a word's move names the
+move as ``word move i:``.
 
 The argument parser is built once per process, on the first ``main()``
 call, and reused by every later call; each call parses into a fresh
@@ -23,7 +25,12 @@ from typing import Optional
 
 from . import serialize
 from .charge import EndCharge, validate_charge
-from .errors import EndflowError, InfeasibleTransferError
+from .errors import (
+    EndflowError,
+    InfeasibleTransferError,
+    NonPositiveMassError,
+    RealizationError,
+)
 from .extmath import frac_str, parse_frac
 from .measure import MeasureState, base_state
 from .morphism import TreeMorphism, push_charge, push_measure, push_word
@@ -78,7 +85,10 @@ class Scenario:
             )
             _require_valid("morphism", sc.morphism.validate())
         if getattr(args, "star", None):
-            sc.star = serialize.star_from_json(_read_json(args.star))
+            try:
+                sc.star = serialize.star_from_json(_read_json(args.star))
+            except NonPositiveMassError as e:
+                _require_valid("star", [str(e)])
         if getattr(args, "tree", None):
             sc.tree = serialize.tree_from_json(_read_json(args.tree))
         elif sc.morphism is not None:
@@ -156,8 +166,12 @@ def cmd_validate(args) -> int:
         report["morphism"] = source + pi.validate()
         ok = ok and not report["morphism"]
     if args.star:
-        star = serialize.star_from_json(_read_json(args.star))
-        report["star"] = validate_tree(star.to_tree())
+        try:
+            star = serialize.star_from_json(_read_json(args.star))
+        except NonPositiveMassError as e:
+            report["star"] = [str(e)]
+        else:
+            report["star"] = validate_tree(star.to_tree())
         ok = ok and not report["star"]
     report["valid"] = ok
     _emit(report, args.out)
@@ -333,8 +347,13 @@ def main(argv=None) -> int:
     except InfeasibleTransferError as e:
         print(f"internal feasibility violation: {e}", file=sys.stderr)
         return EXIT_INVARIANT
+    except RealizationError as e:
+        print(f"internal realization violation: {e}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (serialize.SchemaError, EndflowError, json.JSONDecodeError) as e:
-        print(f"validation error: {e}", file=sys.stderr)
+        move = getattr(e, "move_index", None)
+        where = "" if move is None else f"word move {move}: "
+        print(f"validation error: {where}{e}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)

@@ -4,6 +4,9 @@
 ``InfeasibleTransferError`` is special: on inputs derived from a valid
 charge it can never fire, so any occurrence outside the hand-doctored
 test cases signals a bug (the CLI maps it to exit code 3).
+``RealizationError`` is the ray-star oracle's counterpart: the 1-D
+realization of a valid measure-preserving word never breaks its own
+invariants, so it too signals a bug and maps to exit code 3.
 """
 
 from __future__ import annotations
@@ -51,6 +54,16 @@ class BadDecompositionError(EndflowError):
 
 class InfeasibleTransferError(EndflowError):
     """Requested transfer lies outside the open feasibility interval."""
+
+
+class RealizationError(EndflowError, ArithmeticError):
+    """The 1-D realization of a word broke one of its invariants: a move
+    took more mass than its region holds, or the laid-out map is not a
+    bijection."""
+
+
+class NonPositiveMassError(EndflowError, ValueError):
+    """A ray star was given a zero or negative mass."""
 
 
 class AlignPreconditionError(EndflowError):

@@ -73,15 +73,15 @@ def base_state(t: BalloonTree) -> MeasureState:
 
 
 def mass(mu: MeasureState, region: Iterable[str]) -> ExtMass:
-    """Total mass of a region; infinite as soon as an infinite tail is in."""
+    """Total mass of a region; infinite when an infinite tail is in it.
+
+    The tails are checked first, so a region holding an infinite tail
+    costs one scan of its tails and no arithmetic."""
     r = check_region(mu.tree, region)
-    total = Fraction(0)
-    for v in r:
-        m = mu.node_mass(v)
-        if is_inf(m):
-            return INF
-        total += m
-    return total
+    tails = mu.tails
+    if any(map(is_inf, map(tails.__getitem__, filter(tails.__contains__, r)))):
+        return INF
+    return sum(map(mu.node_mass, r), Fraction(0))
 
 
 def omega_finite_ends(mu: MeasureState) -> EndSet:

@@ -176,11 +176,17 @@ def pull_charge(pi: TreeMorphism, a: EndCharge) -> EndCharge:
 def _push_moves(pi: TreeMorphism, word: MoveWord, skip_collapsed: bool):
     """Map moves edgewise; a source-side runner checks each move first,
     then supplies the masses of whole fibers for pushed rearrangements
-    (fiber-mates outside a shuffle's support keep their mass)."""
+    (fiber-mates outside a shuffle's support keep their mass).
+
+    Errors raised by the runner carry the failing index in ``move_index``."""
     runner = _Runner(word.base)
     out = []
-    for mv in word.moves:
-        runner.apply(mv)
+    for i, mv in enumerate(word.moves):
+        try:
+            runner.apply(mv)
+        except Exception as e:
+            e.move_index = i
+            raise
         if isinstance(mv, BalloonMove):
             p, c = mv.edge
             mp, mc = pi.node_map[p], pi.node_map[c]

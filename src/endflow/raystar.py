@@ -32,6 +32,8 @@ from .charge import EndCharge
 from .errors import (
     ChargeUndefinedError,
     CutTooShallowError,
+    NonPositiveMassError,
+    RealizationError,
     TreeMismatchError,
 )
 from .extmath import INF, ExtMass, as_frac, as_mass, is_inf
@@ -52,7 +54,11 @@ One = Fraction(1)
 
 @dataclass(frozen=True, eq=False)
 class RayStar:
-    """Center block joining r rays of D unit cells plus a tail each."""
+    """Center block joining r rays of D unit cells plus a tail each.
+
+    Every mass is positive (tails may be infinite); the constructor raises
+    :class:`NonPositiveMassError`, a ``ValueError``, naming the center, the
+    cell ``(i, k)`` or the tail that is not."""
 
     center_mass: Fraction
     cells: Tuple[Tuple[Fraction, ...], ...]
@@ -76,6 +82,22 @@ class RayStar:
             len(ray) != self.depth for ray in self.cells
         ):
             raise ValueError("all rays need the same positive cell count")
+        bad = []
+        if self.center_mass <= 0:
+            bad.append((self.center_mass, "the center"))
+        # a Fraction's sign is its numerator's; reading it is far cheaper
+        # than a comparison, and a long star has hundreds of cells
+        for i, ray in enumerate(self.cells):
+            bad += [
+                (m, f"cell ({i}, {k})")
+                for k, m in enumerate(ray)
+                if m.numerator <= 0
+            ]
+        for i, m in enumerate(self.tails):
+            if not is_inf(m) and m <= 0:
+                bad.append((m, f"the tail of ray {i}"))
+        if bad:
+            raise NonPositiveMassError("non-positive mass %s at %s" % bad[0])
 
     @property
     def ray_count(self) -> int:
@@ -388,7 +410,7 @@ def _take_front(queue: list, m: Fraction) -> list:
     taken = []
     while m:
         if not queue:
-            raise ArithmeticError("move takes more mass than the region holds")
+            raise RealizationError("move takes more mass than the region holds")
         seg = queue.pop(0)
         if seg[2] > m:
             seg, rest = _split(seg, m)
@@ -403,7 +425,7 @@ def _take_back(queue: list, m: Fraction) -> list:
     taken = []
     while m:
         if not queue:
-            raise ArithmeticError("move takes more mass than the region holds")
+            raise RealizationError("move takes more mass than the region holds")
         seg = queue.pop()
         if seg[2] > m:
             rest, seg = _split(seg, seg[2] - m)
@@ -486,7 +508,7 @@ class _PLBuilder:
                 laid[loc].append((x, x + m, dst, front - d * x, d))
                 x += m
             if x != hi:
-                raise ArithmeticError(
+                raise RealizationError(
                     "normalization requires restored block masses"
                 )
             ends[loc] = hi
@@ -499,10 +521,10 @@ class _PLBuilder:
         reached = {loc: Zero for loc in ends}
         for p in pieces:
             if p.lo != reached[p.src]:
-                raise ArithmeticError("realized map is not a bijection")
+                raise RealizationError("realized map is not a bijection")
             reached[p.src] = p.hi
         if reached != ends:
-            raise ArithmeticError("realized map is not a bijection")
+            raise RealizationError("realized map is not a bijection")
         return PLMap(star, tuple(pieces))
 
 

@@ -23,6 +23,7 @@ charge-linear retraction (:func:`retract`).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple
@@ -79,14 +80,16 @@ class Exhaustion:
 
     @classmethod
     def from_depths(cls, tree: BalloonTree, depths: Sequence[int]) -> "Exhaustion":
-        levels = []
-        for d in depths:
-            levels.append(
-                frozenset(
-                    v for v in tree.block_nodes if tree.depth[v] < d
-                )
-            )
-        return cls(tree, tuple(levels))
+        """Level k holds the blocks of depth below ``depths[k]``."""
+        blocks = sorted(tree.block_nodes, key=tree.depth.__getitem__)
+        sorted_depths = [tree.depth[v] for v in blocks]
+        return cls(
+            tree,
+            tuple(
+                frozenset(blocks[: bisect_left(sorted_depths, d)])
+                for d in depths
+            ),
+        )
 
     @classmethod
     def default(cls, tree: BalloonTree) -> "Exhaustion":
@@ -109,7 +112,16 @@ class Exhaustion:
 
 
 def _cut_problems(tree: BalloonTree, cut: Region) -> list:
-    """Why a node set is not a downward-closed block cut; empty if it is."""
+    """Why a node set is not a downward-closed block cut; empty if it is.
+
+    Set operations settle the valid case; only a cut with a problem is
+    walked node by node to name it."""
+    if (
+        cut <= tree.node_set
+        and cut.isdisjoint(tree.tails)
+        and set(map(tree.parent.get, cut)) - {None} <= cut
+    ):
+        return []
     out = []
     if any(v in tree.tails or v not in tree.preorder_index for v in cut):
         out.append("contains non-block nodes")

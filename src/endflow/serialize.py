@@ -8,6 +8,7 @@ documents; semantic validation stays with the domain types.
 from __future__ import annotations
 
 from .charge import EndCharge
+from .errors import NonPositiveMassError
 from .extmath import frac_str, mass_str, parse_frac, parse_mass
 from .measure import MeasureState
 from .morphism import TreeMorphism
@@ -231,5 +232,8 @@ def star_from_json(doc: dict) -> RayStar:
     tree = tree_from_json(doc)
     try:
         return RayStar.from_tree(tree, rays, depth)
+    except NonPositiveMassError:
+        # a well-formed star with a bad mass: left to the caller to report
+        raise
     except ValueError as e:
         raise SchemaError(f"star: {e}") from None

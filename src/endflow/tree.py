@@ -156,14 +156,22 @@ class BalloonTree:
     def child_map(self, v: str) -> Tuple[str, ...]:
         return self.children.get(v, ())
 
+    @cached_property
+    def _preorder_stop(self) -> Mapping[str, int]:
+        """One past the last preorder position of each node's subtree."""
+        stop = {}
+        nodes = self.nodes
+        for i in range(len(nodes) - 1, -1, -1):
+            kids = self.children.get(nodes[i])
+            stop[nodes[i]] = stop[kids[-1]] if kids else i + 1
+        return stop
+
     def subtree(self, v: str) -> FrozenSet[str]:
-        out = []
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            out.append(u)
-            stack.extend(self.children.get(u, ()))
-        return frozenset(out)
+        """The node and all its descendants: one slice of the preorder,
+        so it needs a valid tree like the rest of the derived structure."""
+        return frozenset(
+            self.nodes[self.preorder_index[v] : self._preorder_stop[v]]
+        )
 
     def leaf_edge(self, leaf: str) -> Edge:
         return (self.parent[leaf], leaf)

@@ -161,6 +161,10 @@ def invalid_files(files, star_tree):
     object_in_support["moves"][1]["rearrange"]["support"][0] = {"id": "r"}
     foreign_node = json.loads(json.dumps(word))
     foreign_node["moves"][0]["balloon"]["edge"] = ["r", "zz"]
+    overdraw = json.loads(json.dumps(word))
+    overdraw["moves"].insert(
+        1, {"balloon": {"edge": ["u", "l1"], "amount": "5"}}
+    )
     morphism = serialize.morphism_to_json(identity_morphism(star_tree))
     bad_source = json.loads(json.dumps(morphism))
     for node in bad_source["source"]["nodes"]:
@@ -178,6 +182,7 @@ def invalid_files(files, star_tree):
         "list_in_edge": list_in_edge,
         "object_in_support": object_in_support,
         "foreign_node": foreign_node,
+        "overdraw": overdraw,
     }
     paths = {k: v for k, v in files.items() if k != "dir"}
     for name, doc in docs.items():
@@ -230,6 +235,7 @@ INVALID_INPUTS = {
     "push_foreign_node": [
         "push", "--morphism", "{morphism}", "--word", "{foreign_node}"
     ],
+    "charge_overdrawn_block": ["charge", "--tree", "{tree}", "--word", "{overdraw}"],
     "oracle_star_missing_weight": [
         "oracle", "--star", "{no_weight_star}", "--word", "{empty_word}"
     ],
@@ -238,13 +244,18 @@ INVALID_INPUTS = {
     ],
 }
 
-# faults that stop the command while its documents load, so even
-# ``validate`` writes no report; every other case is reported as
-# "validation error: invalid ..." (or by ``validate``'s report)
+# faults that stop the command while its documents load (so even
+# ``validate`` writes no report), or on a word's move, which the message
+# names; every other case is reported as "validation error: invalid ..."
+# (or by ``validate``'s report)
 LOAD_FAULTS = {
     "charge_list_in_edge": "validation error: word move 0: edge needs two node ids",
     "factorize_object_in_support": "validation error: word move 1: support needs node ids",
-    "push_foreign_node": "validation error: no edge ('r', 'zz') in the tree",
+    "push_foreign_node": "validation error: word move 0: no edge ('r', 'zz') in the tree",
+    "charge_overdrawn_block": (
+        "validation error: word move 1: block 'u' would drop to -2 on "
+        "BalloonMove(edge=('u', 'l1'), amount=Fraction(5, 1))"
+    ),
     "oracle_star_missing_weight": "validation error: star: block 'r0c0' has no weight",
     "validate_star_missing_weight": "validation error: star: block 'r0c0' has no weight",
 }
@@ -265,6 +276,42 @@ def test_invalid_input_exits_2_without_traceback(invalid_files, case, argv):
     else:
         assert proc.stdout == ""
         assert proc.stderr.startswith("validation error: invalid ")
+
+
+def test_nonpositive_star_mass_is_named(invalid_files, capsys):
+    oracle = ["oracle", "--star", invalid_files["bad_star"]]
+    assert main(oracle + ["--word", invalid_files["empty_word"]]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == (
+        "validation error: invalid star: non-positive mass -1 at cell (0, 0)\n"
+    )
+    validate = ["validate", "--tree", invalid_files["tree"]]
+    assert main(validate + ["--star", invalid_files["bad_star"]]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["star"] == ["non-positive mass -1 at cell (0, 0)"]
+    assert report["valid"] is False
+
+
+def test_realization_error_exits_3(tmp_path, capsys, monkeypatch):
+    from endflow import cli
+    from endflow.errors import RealizationError
+
+    def broken(star, word):
+        raise RealizationError("realized map is not a bijection")
+
+    monkeypatch.setattr(cli, "realize_word", broken)
+    star = random_star(Random(81))
+    star_p = tmp_path / "star.json"
+    word_p = tmp_path / "word.json"
+    star_p.write_text(json.dumps(serialize.star_to_json(star)))
+    word_p.write_text(json.dumps({"moves": []}))
+    assert main(["oracle", "--star", str(star_p), "--word", str(word_p)]) == 3
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == (
+        "internal realization violation: realized map is not a bijection\n"
+    )
 
 
 def test_factorize_command(files, capsys):

@@ -5,7 +5,13 @@ import pytest
 
 from endflow.errors import InfiniteDifferenceError
 from endflow.extmath import INF, is_inf
-from endflow.gen import random_state, random_tree
+from endflow.gen import (
+    random_region,
+    random_state,
+    random_tree,
+    random_valid_charge,
+    small_fraction,
+)
 from endflow.measure import (
     MeasureState,
     base_state,
@@ -14,7 +20,9 @@ from endflow.measure import (
     mu_equivalent,
     omega_finite_ends,
 )
-from endflow.tree import compactly_equivalent
+from endflow.section import build_section
+from endflow.transport import MoveWord, _replay
+from endflow.tree import check_region, compactly_equivalent
 
 
 def test_mass_of_regions(star_tree):
@@ -146,3 +154,58 @@ def test_j_value_perturbation_bound():
         )
         delta = j_value(mu2, a, b) - j_value(mu, a, b)
         assert abs(delta) <= eps
+
+
+def _summing_mass(mu, region):
+    """Reference: the summing loop ``mass`` used before it checked the
+    tails first."""
+    r = check_region(mu.tree, region)
+    total = Fraction(0)
+    for v in r:
+        m = mu.node_mass(v)
+        if is_inf(m):
+            return INF
+        total += m
+    return total
+
+
+def _states(rng, tree):
+    """A base state, a random state, one whose tails are all finite, and
+    runners caught halfway through a section."""
+    mu = base_state(tree)
+    states = [mu, random_state(rng, tree)]
+    states.append(
+        MeasureState(
+            tree,
+            states[1].blocks,
+            {v: small_fraction(rng) for v in tree.end_leaves},
+        )
+    )
+    word = build_section(tree, mu, random_valid_charge(rng, tree, mu))
+    for k in (len(word.moves) // 3, len(word.moves) // 2):
+        states.append(_replay(MoveWord(tree, mu, word.moves[:k])))
+    return states
+
+
+def test_mass_matches_the_summing_loop(sample_trees):
+    rng = Random(77)
+    kinds = set()
+    for tree in sample_trees:
+        for mu in _states(rng, tree):
+            finite = [v for v in tree.end_leaves if not is_inf(mu.tails[v])]
+            for _ in range(6):
+                blocks = random_region(rng, tree, 0.5) - tree.end_leaf_set
+                regions = [
+                    blocks,
+                    blocks | random_region(rng, tree, 0.5) & set(finite),
+                    random_region(rng, tree, 0.5),
+                    tree.node_set,
+                    frozenset(),
+                ]
+                for r in regions:
+                    got, want = mass(mu, r), _summing_mass(mu, r)
+                    assert got == want
+                    assert is_inf(got) == is_inf(want)
+                    kinds.add((is_inf(got), bool(r & tree.end_leaf_set)))
+    # regions without tails, with only finite tails, and with infinite ones
+    assert kinds == {(False, False), (False, True), (True, True)}

@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from endflow.charge import EndCharge, validate_charge
-from endflow.errors import NotLiftableError
+from endflow.errors import NonPositiveBlockError, NotLiftableError
 from endflow.extmath import INF
 from endflow.gen import (
     random_morphism,
@@ -173,6 +173,21 @@ def test_push_word_rejects_collapsed_moves(collapse):
     )
     with pytest.raises(NotLiftableError):
         push_word(collapse, shuffle)
+
+
+def test_push_word_failure_carries_index(collapse):
+    mu = base_state(collapse.source)
+    w = MoveWord(
+        collapse.source,
+        mu,
+        (
+            BalloonMove(("r", "u"), Fraction(1)),
+            BalloonMove(("r", "u"), Fraction(5)),
+        ),
+    )
+    with pytest.raises(NonPositiveBlockError) as err:
+        push_word(collapse, w)
+    assert err.value.move_index == 1
 
 
 def test_check_diagram(collapse):

@@ -7,6 +7,8 @@ from endflow.charge import EndCharge
 from endflow.errors import (
     ChargeUndefinedError,
     CutTooShallowError,
+    NonPositiveMassError,
+    RealizationError,
     TreeMismatchError,
 )
 from endflow.extmath import INF, is_inf
@@ -123,6 +125,34 @@ def test_edge_move_beyond_the_region_mass_is_rejected(three_star):
         builder = _PLBuilder(three_star)
         with pytest.raises(ArithmeticError):
             builder.apply_edge_move(BalloonMove(("c", "r0c0"), amount))
+
+
+def test_edge_move_beyond_the_region_mass_is_a_realization_error(three_star):
+    builder = _PLBuilder(three_star)
+    with pytest.raises(RealizationError, match="more mass than the region"):
+        builder.apply_edge_move(BalloonMove(("c", "r0c0"), Fraction(5)))
+
+
+@pytest.mark.parametrize(
+    "center, cells, tails, where",
+    [
+        (0, ((1,), (1,)), (INF, INF), "the center"),
+        (-2, ((1,), (1,)), (INF, INF), "the center"),
+        (4, ((1, 2), (1, Fraction(-1, 3))), (INF, INF), r"cell \(1, 1\)"),
+        (4, ((0, 2), (1, 1)), (INF, INF), r"cell \(0, 0\)"),
+        (4, ((1,), (1,)), (INF, 0), "the tail of ray 1"),
+        (4, ((1,), (1,)), (-3, INF), "the tail of ray 0"),
+    ],
+)
+def test_star_rejects_nonpositive_masses(center, cells, tails, where):
+    with pytest.raises(NonPositiveMassError, match=where) as err:
+        RayStar(center, cells, tails)
+    assert isinstance(err.value, ValueError)
+
+
+def test_star_accepts_positive_and_infinite_masses():
+    star = RayStar(Fraction(1, 9), ((Fraction(1, 7),), (3,)), (Fraction(1, 5), INF))
+    assert star.tails == (Fraction(1, 5), INF)
 
 
 def test_compare_oracle_on_section_words(three_star):

@@ -16,6 +16,7 @@ from endflow.gen import random_preserving_word, random_tree, random_valid_charge
 from endflow.measure import base_state
 from endflow.section import (
     Exhaustion,
+    _cut_problems,
     align_step,
     build_section,
     factorize,
@@ -318,3 +319,56 @@ def test_truncation_stability(star_tree):
         else:
             pos = star_tree.child_map(p).index(c)
             assert coarse_flux[(p, c)] == fine_flux[(p, fine.child_map(p)[pos])]
+
+
+def _walking_cut_problems(tree, cut):
+    """Reference: the node-by-node walk ``_cut_problems`` used for every cut."""
+    out = []
+    if any(v in tree.tails or v not in tree.preorder_index for v in cut):
+        out.append("contains non-block nodes")
+    for v in cut:
+        p = tree.parent.get(v)
+        if p is not None and p not in cut:
+            out.append(f"not downward closed at {v!r}")
+    return out
+
+
+def test_cut_problems_match_the_node_walk(sample_trees):
+    rng = Random(31)
+    seen = set()
+    for tree in sample_trees:
+        blocks = frozenset(tree.block_nodes)
+        cuts = [frozenset(), blocks, tree.node_set, frozenset({"zz"})]
+        cuts += Exhaustion.default(tree).levels
+        for _ in range(20):
+            some = frozenset(v for v in tree.nodes if rng.random() < 0.5)
+            cuts += [some, some & blocks, some | {"zz"}]
+        for cut in cuts:
+            got = _cut_problems(tree, cut)
+            assert got == _walking_cut_problems(tree, cut)
+            seen.add(bool(got))
+    assert seen == {False, True}
+
+
+def _scanning_levels(tree, depths):
+    """Reference: the per-depth scan ``from_depths`` used before it sorted."""
+    return tuple(
+        frozenset(v for v in tree.block_nodes if tree.depth[v] < d)
+        for d in depths
+    )
+
+
+def test_from_depths_matches_the_scan(sample_trees):
+    rng = Random(32)
+    for tree in sample_trees:
+        top = max(tree.depth.values())
+        depth_lists = [
+            range(1, top + 2),
+            [3, 1, 2, 2, 0],
+            [-4, top + 10, 1, top + 10, -1],
+            [],
+            [rng.randint(-2, top + 3) for _ in range(12)],
+        ]
+        for depths in depth_lists:
+            ex = Exhaustion.from_depths(tree, depths)
+            assert ex.levels == _scanning_levels(tree, depths)

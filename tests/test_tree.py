@@ -195,3 +195,22 @@ def test_top_and_sums_below_match_brute_force():
                 for v in region
             }
     assert disconnected > 0
+
+
+def _stack_subtree(tree, v):
+    """Reference: the stack walk ``subtree`` used before the preorder slice."""
+    out = []
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        out.append(u)
+        stack.extend(tree.children.get(u, ()))
+    return frozenset(out)
+
+
+def test_subtree_is_the_stack_walk(sample_trees):
+    for tree in sample_trees:
+        assert validate_tree(tree) == []
+        for v in tree.nodes:
+            assert tree.subtree(v) == _stack_subtree(tree, v)
+        assert tree.subtree(tree.root) == tree.node_set
