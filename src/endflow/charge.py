@@ -18,7 +18,7 @@ from .measure import MeasureState, omega_finite_ends
 from .tree import BalloonTree, _check_ends
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EndCharge:
     """Rational value per End leaf of one fixed tree (zero where omitted)."""
 
@@ -35,11 +35,6 @@ class EndCharge:
         for k, v in self.values.items():
             full[k] = as_frac(v)
         object.__setattr__(self, "values", full)
-
-    def __eq__(self, other):
-        if not isinstance(other, EndCharge):
-            return NotImplemented
-        return self.tree == other.tree and self.values == other.values
 
     def __getitem__(self, leaf: str) -> Fraction:
         return self.values[leaf]

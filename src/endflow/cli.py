@@ -36,9 +36,9 @@ from .measure import MeasureState, base_state
 from .morphism import TreeMorphism, push_charge, push_measure, push_word
 from .raystar import RayStar, charge_from_definition, realize_word
 from .section import build_section, factorize, retract
-from .transport import MoveWord, charge_of_word
+from .transport import MoveWord, apply_word, charge_of_word
 from .tree import BalloonTree, validate_tree
-from .verify import SUITES, run_all
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -153,8 +153,6 @@ def cmd_validate(args) -> int:
         if args.word:
             w = serialize.word_from_json(tree, mu, _read_json(args.word))
             try:
-                from .transport import apply_word
-
                 apply_word(w)
                 report["word"] = []
             except EndflowError as e:
@@ -228,8 +226,9 @@ def cmd_push(args) -> int:
 def cmd_oracle(args) -> int:
     _require_at_least_one("--cuts", args.cuts)
     sc = Scenario.load(args)
-    h = realize_word(sc.star, sc.word)
+    # the tagged replay names a failing move before the realization runs
     flux_charge = charge_of_word(sc.word)
+    h = realize_word(sc.star, sc.word)
     base_cut = h.last_breakpoint() + 1
     defs = [
         charge_from_definition(sc.star, h, base_cut + 7 * k)
@@ -250,14 +249,10 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     _require_at_least_one("--cases", args.cases)
-    if args.suite:
-        if args.suite not in SUITES:
-            raise serialize.SchemaError(f"unknown suite {args.suite!r}")
-        from random import Random
-
-        reports = [SUITES[args.suite](Random(f"{args.seed}:{args.suite}"), args.cases)]
-    else:
-        reports = run_all(args.seed, args.cases)
+    if args.suite and args.suite not in SUITES:
+        raise serialize.SchemaError(f"unknown suite {args.suite!r}")
+    names = [args.suite] if args.suite else SUITES
+    reports = [run_suite(name, args.seed, args.cases) for name in names]
     failed = 0
     for rep in reports:
         status = "PASS" if not rep["failures"] else "FAIL"

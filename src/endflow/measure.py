@@ -18,7 +18,7 @@ from .extmath import INF, ExtMass, as_frac, as_mass, is_inf
 from .tree import BalloonTree, EndSet, check_region
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MeasureState:
     """Block and tail masses over one fixed tree."""
 
@@ -52,15 +52,6 @@ class MeasureState:
         if v in self.tails:
             return self.tails[v]
         return self.blocks[v]
-
-    def __eq__(self, other):
-        if not isinstance(other, MeasureState):
-            return NotImplemented
-        return (
-            self.tree == other.tree
-            and self.blocks == other.blocks
-            and self.tails == other.tails
-        )
 
 
 def base_state(t: BalloonTree) -> MeasureState:

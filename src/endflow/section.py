@@ -292,16 +292,11 @@ def _align(
     a time, drawing mass from the not-yet-settled remainder through the
     feasibility gauge, and a final rearrangement fixes the core to the
     target state.
-    """
-    inner = check_region(tree, inner)
-    outer = check_region(tree, outer)
-    for name, cut in (("inner", inner), ("outer", outer)):
-        problems = _cut_problems(tree, cut)
-        if problems:
-            raise AlignPreconditionError(f"{name} cut {problems[0]}")
-    if not inner <= outer:
-        raise AlignPreconditionError("inner cut must lie inside the outer cut")
 
+    Precondition, checked by the callers where the cuts enter: ``inner``
+    and ``outer`` are frozensets of the tree's blocks, each downward
+    closed, with ``inner <= outer``.
+    """
     for v in inner:
         if runner.blocks[v] != target_runner.blocks[v]:
             raise AlignPreconditionError(
@@ -325,12 +320,8 @@ def _align(
     for h in hanging:
         core = tree.subtree(h) & outer
         if not core:
-            # the piece lies entirely beyond the outer cut; its target is
-            # already met by the hypothesis check above
-            if inflow(runner, h) != below[h] + inflow(target_runner, h):
-                raise AlignPreconditionError(
-                    "untouched component drifted from its target"
-                )
+            # beyond the outer cut: other pieces' corrections stay in their
+            # own subtrees, so the transfer check above still holds here
             continue
         # children of the core outside it are the outer cut's hanging
         # roots inside this piece
@@ -364,9 +355,10 @@ def align_step(
     such that word+h matches the target word's state on the outer cut and
     hits the charge's transfer targets on every component beyond it.
 
-    Both words are replayed from the shared base measure and the level is
-    computed by the same core :func:`build_section` runs on its carried
-    states, with the same hypothesis checks (see :func:`_align`).
+    Both words are replayed from the shared base measure, the two cuts
+    are checked, and the level is computed by the same core
+    :func:`build_section` runs on its carried states, with the same
+    hypothesis checks (see :func:`_align`).
     """
     tree = mu.tree
     if word.tree != tree or target_word.tree != tree or charge.tree != tree:
@@ -375,6 +367,14 @@ def align_step(
         raise AlignPreconditionError("words must be based at the given measure")
     runner = _replay(word)
     target_runner = _replay(target_word)
+    inner = check_region(tree, inner)
+    outer = check_region(tree, outer)
+    for name, cut in (("inner", inner), ("outer", outer)):
+        problems = _cut_problems(tree, cut)
+        if problems:
+            raise AlignPreconditionError(f"{name} cut {problems[0]}")
+    if not inner <= outer:
+        raise AlignPreconditionError("inner cut must lie inside the outer cut")
     start = runner.state()
     h_moves: List = []
     below = tree.sums_below(charge.values)
@@ -405,6 +405,8 @@ def build_section(
     if a.is_zero():
         return empty_word(mu)
     ex = exhaustion if exhaustion is not None else Exhaustion.default(tree)
+    if ex.tree != tree:  # _align takes the levels as cuts of this tree
+        raise TreeMismatchError("exhaustion lives on a different tree")
     problems = ex.validate()
     if problems:
         raise ValueError("invalid exhaustion: " + "; ".join(problems))

@@ -50,7 +50,7 @@ class BalloonMove:
         object.__setattr__(self, "amount", as_frac(self.amount))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Rearrange:
     """Replace masses on a connected block support, conserving their sum."""
 
@@ -63,16 +63,11 @@ class Rearrange:
             self, "masses", {k: as_frac(v) for k, v in self.masses.items()}
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, Rearrange):
-            return NotImplemented
-        return self.support == other.support and self.masses == other.masses
-
 
 Move = Union[BalloonMove, Rearrange]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MoveWord:
     """Ordered moves applied left to right from a base state."""
 
@@ -88,17 +83,8 @@ class MoveWord:
     def __len__(self):
         return len(self.moves)
 
-    def __eq__(self, other):
-        if not isinstance(other, MoveWord):
-            return NotImplemented
-        return (
-            self.tree == other.tree
-            and self.base == other.base
-            and self.moves == other.moves
-        )
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FluxField:
     """Cumulative net transfer per edge, parent side into child side."""
 
@@ -126,11 +112,6 @@ class FluxField:
         for c in t.child_map(node):
             total -= self.flux[(node, c)]
         return total
-
-    def __eq__(self, other):
-        if not isinstance(other, FluxField):
-            return NotImplemented
-        return self.tree == other.tree and self.flux == other.flux
 
 
 def empty_word(mu: MeasureState) -> MoveWord:
@@ -180,7 +161,8 @@ class _Runner:
         new_p = self.blocks[p] - d
         if new_p <= 0:
             raise NonPositiveBlockError(
-                f"block {p!r} would drop to {new_p} on {move}"
+                f"block {p!r} would drop to {new_p} "
+                f"moving {d} across {move.edge!r}"
             )
         if c in self.tails:
             m = self.tails[c]
@@ -190,14 +172,16 @@ class _Runner:
                 new_c = m + d
                 if new_c <= 0:
                     raise NonPositiveBlockError(
-                        f"tail {c!r} would drop to {new_c} on {move}"
+                        f"tail {c!r} would drop to {new_c} "
+                        f"moving {d} across {move.edge!r}"
                     )
             self.tails[c] = new_c
         else:
             new_c = self.blocks[c] + d
             if new_c <= 0:
                 raise NonPositiveBlockError(
-                    f"block {c!r} would drop to {new_c} on {move}"
+                    f"block {c!r} would drop to {new_c} "
+                    f"moving {d} across {move.edge!r}"
                 )
             self.blocks[c] = new_c
         self.blocks[p] = new_p

@@ -23,7 +23,7 @@ EndSet = FrozenSet[str]
 Edge = Tuple[str, str]  # (parent, child)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BalloonTree:
     """Finite rooted tree of weighted blocks with tagged leaves.
 
@@ -213,17 +213,6 @@ class BalloonTree:
             up_a.append(a)
             up_b.append(b)
         return tuple(up_a[:-1] + up_b[::-1])
-
-    def __eq__(self, other):
-        if not isinstance(other, BalloonTree):
-            return NotImplemented
-        return (
-            self.root == other.root
-            and self.children == other.children
-            and self.weights == other.weights
-            and self.tails == other.tails
-            and self.closed == other.closed
-        )
 
     def __hash__(self):
         return hash((self.root, tuple(sorted(self.children))))

@@ -366,9 +366,12 @@ SUITES: Dict[str, Callable[[Random, int], dict]] = {
 }
 
 
+def run_suite(name: str, seed: int, cases: int) -> dict:
+    """Run one suite on its own generator, seeded by the run's seed and
+    the suite's name, so a suite draws the same cases alone or in
+    :func:`run_all`."""
+    return SUITES[name](Random(f"{seed}:{name}"), cases)
+
+
 def run_all(seed: int, cases: int) -> List[dict]:
-    reports = []
-    for name, fn in SUITES.items():
-        rng = Random(f"{seed}:{name}")
-        reports.append(fn(rng, cases))
-    return reports
+    return [run_suite(name, seed, cases) for name in SUITES]

@@ -161,6 +161,14 @@ def invalid_files(files, star_tree):
     object_in_support["moves"][1]["rearrange"]["support"][0] = {"id": "r"}
     foreign_node = json.loads(json.dumps(word))
     foreign_node["moves"][0]["balloon"]["edge"] = ["r", "zz"]
+    ray_tree = star.to_tree()
+    # move 0 leaves the center at 1, move 1 takes 2 from it
+    star_overdraw = serialize.word_to_json(
+        MoveWord(ray_tree, base_state(ray_tree), (
+            BalloonMove(("c", "r0c0"), Fraction(1, 2)),
+            BalloonMove(("c", "r1c0"), Fraction(2)),
+        ))
+    )
     overdraw = json.loads(json.dumps(word))
     overdraw["moves"].insert(
         1, {"balloon": {"edge": ["u", "l1"], "amount": "5"}}
@@ -183,6 +191,7 @@ def invalid_files(files, star_tree):
         "object_in_support": object_in_support,
         "foreign_node": foreign_node,
         "overdraw": overdraw,
+        "star_overdraw": star_overdraw,
     }
     paths = {k: v for k, v in files.items() if k != "dir"}
     for name, doc in docs.items():
@@ -236,6 +245,9 @@ INVALID_INPUTS = {
         "push", "--morphism", "{morphism}", "--word", "{foreign_node}"
     ],
     "charge_overdrawn_block": ["charge", "--tree", "{tree}", "--word", "{overdraw}"],
+    "oracle_overdrawn_center": [
+        "oracle", "--star", "{star}", "--word", "{star_overdraw}"
+    ],
     "oracle_star_missing_weight": [
         "oracle", "--star", "{no_weight_star}", "--word", "{empty_word}"
     ],
@@ -253,8 +265,12 @@ LOAD_FAULTS = {
     "factorize_object_in_support": "validation error: word move 1: support needs node ids",
     "push_foreign_node": "validation error: word move 0: no edge ('r', 'zz') in the tree",
     "charge_overdrawn_block": (
-        "validation error: word move 1: block 'u' would drop to -2 on "
-        "BalloonMove(edge=('u', 'l1'), amount=Fraction(5, 1))"
+        "validation error: word move 1: block 'u' would drop to -2 "
+        "moving 5 across ('u', 'l1')"
+    ),
+    "oracle_overdrawn_center": (
+        "validation error: word move 1: block 'c' would drop to -1 "
+        "moving 2 across ('c', 'r1c0')"
     ),
     "oracle_star_missing_weight": "validation error: star: block 'r0c0' has no weight",
     "validate_star_missing_weight": "validation error: star: block 'r0c0' has no weight",
@@ -573,7 +589,8 @@ def _node_ids(doc):
 
 def test_mutated_documents_end_in_documented_exit_codes(tmp_path, capsys):
     """Seeded mutations of valid documents: every in-process run ends in
-    exit code 0, 2, 3 or 4, and no exception escapes ``main``."""
+    exit code 0, 2, 3 or 4, no exception escapes ``main``, and no message
+    prints a Python repr of a number or a move."""
     rng = Random(2005)
     scenarios = _fuzz_scenarios(8)
     commands = sorted(FUZZ_COMMANDS)
@@ -595,8 +612,10 @@ def test_mutated_documents_end_in_documented_exit_codes(tmp_path, capsys):
             code = main(argv)
         except (Exception, SystemExit) as e:
             pytest.fail(f"case {k} {command} {notes}: {e!r}")
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert code in (0, 2, 3, 4), (k, command, notes, code)
+        for repr_head in ("Fraction(", "Move(", "Rearrange("):
+            assert repr_head not in err, (k, command, notes, err)
         codes[code] = codes.get(code, 0) + 1
     # the mutations must reach past the loaders as well as into them
     assert codes.get(0, 0) > 50 and codes.get(2, 0) > 1000

@@ -10,6 +10,7 @@ from endflow.errors import (
     InfeasibleTransferError,
     InvalidChargeError,
     RangeError,
+    TreeMismatchError,
 )
 from endflow.extmath import INF, NEG_INF
 from endflow.gen import random_preserving_word, random_tree, random_valid_charge
@@ -149,33 +150,42 @@ def test_align_step_checks_hypotheses(star_tree):
 
 
 BLOCKS = frozenset({"r", "u", "v"})
+SPLIT = {"l1": Fraction(3), "l2": Fraction(-3)}
 ALIGN_PRECONDITIONS = {
     "cut_holds_end_leaf": (
-        frozenset(), BLOCKS | {"l1"}, "cut contains non-block nodes"
+        frozenset(), BLOCKS | {"l1"}, SPLIT, "cut contains non-block nodes"
     ),
     "cut_not_downward_closed": (
-        frozenset({"u"}), BLOCKS, "inner cut not downward closed"
+        frozenset({"u"}), BLOCKS, SPLIT, "inner cut not downward closed"
     ),
     "inner_not_in_outer": (
-        frozenset({"r", "u"}), frozenset({"r", "v"}), "inside the outer cut"
+        frozenset({"r", "u"}), frozenset({"r", "v"}), SPLIT,
+        "inside the outer cut",
     ),
     "states_disagree_on_inner": (
-        frozenset({"r"}), BLOCKS, "disagree on inner cut"
+        frozenset({"r"}), BLOCKS, SPLIT, "disagree on inner cut"
+    ),
+    # the only piece is the whole tree, wholly beyond the empty outer cut,
+    # and nothing has moved into it while the charge asks for 1
+    "piece_beyond_outer_misses_target": (
+        frozenset(), frozenset(), {"l3": Fraction(1)}, "transfer mismatch"
     ),
 }
 
 
 @pytest.mark.parametrize(
-    "inner, outer, match",
+    "inner, outer, values, match",
     ALIGN_PRECONDITIONS.values(),
     ids=ALIGN_PRECONDITIONS.keys(),
 )
-def test_align_step_rejects_bad_cuts_and_states(star_tree, inner, outer, match):
+def test_align_step_rejects_bad_cuts_and_states(
+    star_tree, inner, outer, values, match
+):
     mu = base_state(star_tree)
     # moves mass off the root, so the word and the empty target disagree
     # on every cut holding the root
     word = MoveWord(star_tree, mu, (BalloonMove(("r", "u"), Fraction(1)),))
-    a = EndCharge(star_tree, {"l1": Fraction(3), "l2": Fraction(-3)})
+    a = EndCharge(star_tree, values)
     with pytest.raises(AlignPreconditionError, match=match):
         align_step(mu, inner, outer, word, empty_word(mu), a)
 
@@ -235,6 +245,50 @@ def test_build_section_with_coarse_exhaustion(star_tree):
     coarse = Exhaustion.from_depths(star_tree, [2])
     word = build_section(star_tree, mu, a, coarse)
     assert charge_of_word(word) == a
+
+
+BAD_EXHAUSTIONS = {
+    "not_downward_closed": (
+        (frozenset({"u"}), BLOCKS), "level 0 not downward closed at 'u'"
+    ),
+    "foreign_id": (
+        (frozenset({"r", "zz"}), BLOCKS),
+        "level 0 contains non-block nodes; level 1 does not contain level 0",
+    ),
+    "shrinking": (
+        (BLOCKS, frozenset({"r"}), BLOCKS), "level 1 does not contain level 0"
+    ),
+    "not_covering": (
+        (frozenset({"r"}), frozenset({"r", "u"})),
+        "exhaustion does not cover all block nodes",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "levels, problem", BAD_EXHAUSTIONS.values(), ids=BAD_EXHAUSTIONS.keys()
+)
+def test_build_section_rejects_bad_exhaustion(star_tree, levels, problem):
+    # the section's levels are checked here once; _align trusts them
+    mu = base_state(star_tree)
+    a = EndCharge(star_tree, SPLIT)
+    with pytest.raises(ValueError) as err:
+        build_section(star_tree, mu, a, Exhaustion(star_tree, levels))
+    assert str(err.value) == "invalid exhaustion: " + problem
+
+
+def test_build_section_rejects_exhaustion_of_another_tree(star_tree):
+    other = BalloonTree(
+        root="r",
+        children={"r": ("u", "l1")},
+        weights={"r": Fraction(1), "u": Fraction(1)},
+        tails={"l1": INF},
+        closed={"u"},
+    )
+    mu = base_state(star_tree)
+    a = EndCharge(star_tree, SPLIT)
+    with pytest.raises(TreeMismatchError):
+        build_section(star_tree, mu, a, Exhaustion.default(other))
 
 
 def test_exhaustion_validation(star_tree):
