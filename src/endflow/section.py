@@ -16,8 +16,13 @@ target there is the charge's subtree sum at that root, the same
 :func:`build_section` computes that table once, carries the two
 evaluation states of f and g across the levels and collects each word's
 moves, building the words once at the end; the public :func:`align_step`
-replays two given words and runs one level through the same core.  The
-section yields the kernel factorization (:func:`factorize`) and the
+replays two given words and runs one level through the same core.
+Along with the states, :func:`build_section` carries the current cut's
+hanging roots and the blocks the last level added or touched, so a level
+pays for the blocks it adds and the moves it makes rather than for the
+cut it starts from; the one cost left that is O(n) per deep balloon is
+the sentinel's state copy (with the regions it sums).  The section
+yields the kernel factorization (:func:`factorize`) and the
 charge-linear retraction (:func:`retract`).
 """
 
@@ -202,35 +207,41 @@ def solve_balloon_parameter(
 
 
 def _donor_order(tree: BalloonTree, runner: _Runner, donors, dest: str):
-    """Donors sorted blocks first, then finite tails, then infinite tails,
-    nearest to the destination first.
+    """Donors in transfer order, drawn lazily: blocks first, then finite
+    tails, then infinite tails; nearest to the destination first, and in
+    preorder at equal distance.
 
-    Distances come from one breadth-first pass out of ``dest`` through the
+    Distances come from a breadth-first pass out of ``dest`` through the
     donor set, which together with ``dest`` is connected: the remainder
     of a component feeding one of its deep balloons, or a deep balloon
-    draining into its parent.
+    draining into its parent.  The pass advances one distance layer at a
+    time and yields that layer's blocks at once, so a caller that stops
+    drawing never walks the rest; the tails follow once the pass ends.
     """
     index = tree.preorder_index
-    inside = set(donors)
-    dist = {dest: 0}
-    frontier = [dest]
-    while frontier:
+    tails = runner.tails
+    seen = {dest}
+    layer = [dest]
+    finite: List[str] = []
+    infinite: List[str] = []
+    while layer:
         nxt = []
-        for u in frontier:
+        for u in layer:
             for w in (tree.parent.get(u), *tree.child_map(u)):
-                if w in inside and w not in dist:
-                    dist[w] = dist[u] + 1
+                if w in donors and w not in seen:
+                    seen.add(w)
                     nxt.append(w)
-        frontier = nxt
-
-    def key(v):
-        if v in runner.tails:
-            kind = 2 if is_inf(runner.tails[v]) else 1
-        else:
-            kind = 0
-        return (kind, dist[v], index[v])
-
-    return sorted(donors, key=key)
+        nxt.sort(key=index.__getitem__)
+        for w in nxt:
+            if w not in tails:
+                yield w
+            elif is_inf(tails[w]):
+                infinite.append(w)
+            else:
+                finite.append(w)
+        layer = nxt
+    yield from finite
+    yield from infinite
 
 
 def _transfer(tree, runner, out_moves: List, donors, dest: str, amount: Fraction):
@@ -239,15 +250,17 @@ def _transfer(tree, runner, out_moves: List, donors, dest: str, amount: Fraction
     Installments are capped at half the donor's current mass (all of it
     for infinite tails), so strict positivity holds at every step; the
     residual closes in finitely many passes because the feasibility check
-    guarantees the donors strictly cover the amount.
+    guarantees the donors strictly cover the amount.  The first pass
+    draws donors from :func:`_donor_order` only until the amount is
+    covered; a pass that leaves a residual has drawn them all.
     """
     remaining = amount
     order = _donor_order(tree, runner, donors, dest)
     while remaining > 0:
         progressed = False
+        drawn = []
         for donor in order:
-            if remaining == 0:
-                break
+            drawn.append(donor)
             m = runner.node_mass(donor)
             if is_inf(m):
                 take = remaining
@@ -260,21 +273,26 @@ def _transfer(tree, runner, out_moves: List, donors, dest: str, amount: Fraction
                 out_moves.append(mv)
             remaining -= take
             progressed = True
+            if remaining == 0:
+                break
         if remaining > 0 and not progressed:
             raise InfeasibleTransferError(
-                f"donors exhausted with {remaining} still to move"
+                f"donors exhausted with {remaining} still to move to {dest!r}"
             )
+        order = drawn
 
 
 def _align(
     tree: BalloonTree,
     inner: Region,
     outer: Region,
+    hanging: Sequence[str],
+    check: Region,
     runner: _Runner,
     target_runner: _Runner,
     below: Mapping[str, Fraction],
     out_moves: List,
-):
+) -> Tuple[List[str], Region]:
     """Advance ``runner`` by one correction level against ``target_runner``,
     appending the correction moves to ``out_moves``.
 
@@ -293,11 +311,24 @@ def _align(
     feasibility gauge, and a final rearrangement fixes the core to the
     target state.
 
+    ``hanging`` lists the inner cut's hanging roots in preorder.  ``check``
+    holds the inner-cut blocks to compare: the whole inner cut, or, when
+    the states agreed on the previous level's inner cut, the blocks that
+    level added and the blocks its moves touched, since no other block of
+    either state has changed since.  Each piece's core is its share of the
+    added blocks ``outer - inner``, found through the preorder interval of
+    its subtree.  So a level pays for the blocks it adds and the moves it
+    makes, not for the cut it starts from; the one cost left that is O(n)
+    per deep balloon is the bug sentinel's state copy (with the regions it
+    sums).  Returns the outer cut's hanging roots in preorder and the
+    outer-cut blocks the next level must compare.
+
     Precondition, checked by the callers where the cuts enter: ``inner``
     and ``outer`` are frozensets of the tree's blocks, each downward
-    closed, with ``inner <= outer``.
+    closed, with ``inner <= outer``; ``hanging`` and ``check`` are as
+    above.
     """
-    for v in inner:
+    for v in check:
         if runner.blocks[v] != target_runner.blocks[v]:
             raise AlignPreconditionError(
                 f"states disagree on inner cut at {v!r}"
@@ -308,24 +339,33 @@ def _align(
         p = tree.parent.get(root)
         return Fraction(0) if p is None else r.flux[(p, root)]
 
-    hanging = _hanging(tree, inner)
     for h in hanging:
         have = inflow(runner, h) - inflow(target_runner, h)
         if have != below[h]:
             raise AlignPreconditionError(
-                f"transfer mismatch on a component outside the inner cut: "
-                f"{have} != {below[h]}"
+                f"transfer mismatch on the component under {h!r} outside "
+                f"the inner cut: {have} != {below[h]}"
             )
 
+    index, stop, nodes = tree.preorder_index, tree._preorder_stop, tree.nodes
+    added = outer - inner
+    positions = sorted(map(index.__getitem__, added))
+    first_move = len(out_moves)
+    next_hanging: List[str] = []
     for h in hanging:
-        core = tree.subtree(h) & outer
-        if not core:
+        lo = bisect_left(positions, index[h])
+        hi = bisect_left(positions, stop[h], lo)
+        if lo == hi:
             # beyond the outer cut: other pieces' corrections stay in their
             # own subtrees, so the transfer check above still holds here
+            next_hanging.append(h)
             continue
+        core = frozenset(map(nodes.__getitem__, positions[lo:hi]))
         # children of the core outside it are the outer cut's hanging
         # roots inside this piece
-        deeps = [(hb, tree.subtree(hb)) for hb in _hanging(tree, core)]
+        deep_roots = _hanging(tree, core)
+        next_hanging += deep_roots
+        deeps = [(hb, tree.subtree(hb)) for hb in deep_roots]
         for j, (hb, B) in enumerate(deeps):
             target = below[hb] + inflow(target_runner, hb) - inflow(runner, hb)
             rest = core.union(*(D for _, D in deeps[j + 1 :]))
@@ -338,9 +378,14 @@ def _align(
                 _transfer(tree, runner, out_moves, B, tree.parent[hb], -target)
         tau = {v: target_runner.blocks[v] for v in core}
         if any(runner.blocks[v] != tau[v] for v in core):
-            mv = Rearrange(frozenset(core), tau)
+            mv = Rearrange(core, tau)
             runner.apply(mv)
             out_moves.append(mv)
+
+    touched = set()
+    for mv in out_moves[first_move:]:
+        touched.update(mv.support if isinstance(mv, Rearrange) else mv.edge)
+    return next_hanging, added | (touched & outer)
 
 
 def align_step(
@@ -378,7 +423,10 @@ def align_step(
     start = runner.state()
     h_moves: List = []
     below = tree.sums_below(charge.values)
-    _align(tree, inner, outer, runner, target_runner, below, h_moves)
+    _align(
+        tree, inner, outer, _hanging(tree, inner), inner,
+        runner, target_runner, below, h_moves,
+    )
     return MoveWord(tree, start, tuple(h_moves))
 
 
@@ -394,7 +442,9 @@ def build_section(
     Two words grow alternately along the exhaustion: at each level f is
     corrected against g out to the next cut, then g against f with the
     negated charge.  The evaluation states of f and g are carried from
-    level to level, so no word is replayed.  Once the cuts exhaust the
+    level to level, so no word is replayed, and so are the cut's hanging
+    roots and the blocks the next level must compare (see
+    :func:`_align`).  Once the cuts exhaust the
     blocks the two words agree everywhere and differ in transfer by
     exactly ``a``; the result is f followed by the inverse of g.
     """
@@ -421,10 +471,15 @@ def build_section(
     f_moves: List = []
     g_moves: List = []
     prev: Region = frozenset()
+    hanging, check = [tree.root], prev
     for k in range(0, len(levels), 2):
         K, L = levels[k], levels[k + 1]
-        _align(tree, prev, K, fr, gr, below, f_moves)
-        _align(tree, K, L, gr, fr, neg_below, g_moves)
+        hanging, check = _align(
+            tree, prev, K, hanging, check, fr, gr, below, f_moves
+        )
+        hanging, check = _align(
+            tree, K, L, hanging, check, gr, fr, neg_below, g_moves
+        )
         prev = L
     f = MoveWord(tree, mu, tuple(f_moves))
     g = MoveWord(tree, mu, tuple(g_moves))

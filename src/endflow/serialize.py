@@ -25,7 +25,10 @@ def _need(obj, key, kind, where):
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError(f"{where}: missing key {key!r}")
     val = obj[key]
-    if kind is not None and not isinstance(val, kind):
+    # JSON true and false load as bool, a subclass of int, yet are no counts
+    if kind is not None and (
+        not isinstance(val, kind) or isinstance(val, bool) and kind is int
+    ):
         raise SchemaError(f"{where}: key {key!r} has the wrong type")
     return val
 

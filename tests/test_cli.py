@@ -10,6 +10,7 @@ import pytest
 from endflow import serialize
 from endflow.charge import EndCharge
 from endflow.cli import main
+from endflow.extmath import INF
 from endflow.gen import (
     random_morphism,
     random_preserving_word,
@@ -20,6 +21,7 @@ from endflow.gen import (
 )
 from endflow.measure import base_state
 from endflow.morphism import identity_morphism
+from endflow.raystar import RayStar
 from endflow.transport import BalloonMove, MoveWord, Rearrange
 
 
@@ -173,6 +175,11 @@ def invalid_files(files, star_tree):
     overdraw["moves"].insert(
         1, {"balloon": {"edge": ["u", "l1"], "amount": "5"}}
     )
+    # a one-cell star, so a depth read as true == 1 would load
+    bool_depth_star = serialize.star_to_json(
+        RayStar(Fraction(2), ((Fraction(1),), (Fraction(1),)), (INF, INF))
+    )
+    bool_depth_star["star"]["depth"] = True
     morphism = serialize.morphism_to_json(identity_morphism(star_tree))
     bad_source = json.loads(json.dumps(morphism))
     for node in bad_source["source"]["nodes"]:
@@ -184,6 +191,7 @@ def invalid_files(files, star_tree):
         "measure_nonpositive": nonpositive,
         "measure_no_tails": {"blocks": base["blocks"], "tails": {}},
         "star": serialize.star_to_json(star),
+        "bool_depth_star": bool_depth_star,
         "bad_star": bad_star,
         "no_weight_star": no_weight_star,
         "empty_word": {"moves": []},
@@ -251,6 +259,9 @@ INVALID_INPUTS = {
     "oracle_star_missing_weight": [
         "oracle", "--star", "{no_weight_star}", "--word", "{empty_word}"
     ],
+    "oracle_bool_depth": [
+        "oracle", "--star", "{bool_depth_star}", "--word", "{empty_word}"
+    ],
     "validate_star_missing_weight": [
         "validate", "--tree", "{tree}", "--star", "{no_weight_star}"
     ],
@@ -273,6 +284,7 @@ LOAD_FAULTS = {
         "moving 2 across ('c', 'r1c0')"
     ),
     "oracle_star_missing_weight": "validation error: star: block 'r0c0' has no weight",
+    "oracle_bool_depth": "validation error: star header: key 'depth' has the wrong type",
     "validate_star_missing_weight": "validation error: star: block 'r0c0' has no weight",
 }
 

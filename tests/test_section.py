@@ -18,6 +18,7 @@ from endflow.measure import base_state
 from endflow.section import (
     Exhaustion,
     _cut_problems,
+    _transfer,
     align_step,
     build_section,
     factorize,
@@ -36,6 +37,7 @@ from endflow.transport import (
     extensionally_equal,
     is_measure_preserving,
     region_transfer,
+    _Runner,
 )
 from endflow.tree import BalloonTree, region_ends
 from endflow.verify import solve_flux_by_elimination
@@ -168,7 +170,9 @@ ALIGN_PRECONDITIONS = {
     # the only piece is the whole tree, wholly beyond the empty outer cut,
     # and nothing has moved into it while the charge asks for 1
     "piece_beyond_outer_misses_target": (
-        frozenset(), frozenset(), {"l3": Fraction(1)}, "transfer mismatch"
+        frozenset(), frozenset(), {"l3": Fraction(1)},
+        r"^transfer mismatch on the component under 'r' outside the inner "
+        r"cut: 0 != 1$",
     ),
 }
 
@@ -188,6 +192,28 @@ def test_align_step_rejects_bad_cuts_and_states(
     a = EndCharge(star_tree, values)
     with pytest.raises(AlignPreconditionError, match=match):
         align_step(mu, inner, outer, word, empty_word(mu), a)
+
+
+def test_transfer_mismatch_names_the_hanging_root(star_tree):
+    # both words are empty, so they agree on the root, but the charge
+    # asks for 1/2 into the piece under u
+    mu = base_state(star_tree)
+    a = EndCharge(star_tree, {"l1": Fraction(1, 2), "l2": Fraction(-1, 2)})
+    with pytest.raises(
+        AlignPreconditionError,
+        match=r"^transfer mismatch on the component under 'u' outside the "
+        r"inner cut: 0 != 1/2$",
+    ):
+        align_step(mu, {"r"}, BLOCKS, empty_word(mu), empty_word(mu), a)
+
+
+def test_transfer_names_its_destination_when_donors_run_out(star_tree):
+    runner = _Runner(base_state(star_tree))
+    with pytest.raises(
+        InfeasibleTransferError,
+        match=r"^donors exhausted with 3/2 still to move to 'u'$",
+    ):
+        _transfer(star_tree, runner, [], frozenset(), "u", Fraction(3, 2))
 
 
 def test_align_step_sentinel_on_smuggled_charge(star_tree):

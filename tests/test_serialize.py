@@ -1,7 +1,10 @@
+import json
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from endflow.charge import EndCharge
 from endflow.extmath import INF, parse_frac, parse_mass
@@ -9,6 +12,7 @@ from endflow.gen import (
     random_morphism,
     random_preserving_word,
     random_star,
+    random_state,
     random_tree,
 )
 from endflow.measure import base_state
@@ -129,3 +133,62 @@ def test_star_round_trip():
         assert back.cells == star.cells
         assert back.tails == star.tails
         assert back.center_mass == star.center_mass
+
+
+# -- round trips through JSON text ---------------------------------------------
+
+rngs = st.randoms(use_true_random=False)
+
+
+def _through_text(doc):
+    return json.loads(json.dumps(doc))
+
+
+def _tree(rng):
+    return random_tree(
+        rng, max_depth=rng.randint(1, 5), max_nodes=rng.choice([4, 16, 48])
+    )
+
+
+@given(rng=rngs)
+def test_tree_and_state_round_trip_to_equal_values(rng):
+    t = _tree(rng)
+    assert tree_from_json(_through_text(tree_to_json(t))) == t
+    mu = random_state(rng, t)
+    assert state_from_json(t, _through_text(state_to_json(mu))) == mu
+
+
+@given(rng=rngs, data=st.data())
+def test_charge_round_trips_to_an_equal_value(rng, data):
+    t = _tree(rng)
+    c = EndCharge(t, {v: data.draw(st.fractions()) for v in t.end_leaves})
+    assert charge_from_json(t, _through_text(charge_to_json(c))) == c
+
+
+@given(rng=rngs)
+def test_word_round_trips_to_an_equal_value(rng):
+    t = _tree(rng)
+    mu = random_state(rng, t)
+    w = random_preserving_word(
+        rng, t, mu, transfers=rng.randint(0, 4), shuffles=rng.randint(0, 3)
+    )
+    assert word_from_json(t, mu, _through_text(word_to_json(w))) == w
+
+
+# RayStar and TreeMorphism compare by identity, so their round trip is
+# read back from the document: it must serialize to the same JSON
+
+
+@given(rng=rngs)
+def test_morphism_document_survives_a_round_trip(rng):
+    doc = morphism_to_json(random_morphism(rng, max_depth=rng.randint(1, 4)))
+    back = morphism_from_json(_through_text(doc))
+    assert json.dumps(morphism_to_json(back)) == json.dumps(doc)
+
+
+@given(rng=rngs)
+def test_star_document_survives_a_round_trip(rng):
+    star = random_star(rng, max_rays=rng.randint(2, 5), max_depth=rng.randint(1, 4))
+    doc = star_to_json(star)
+    back = star_from_json(_through_text(doc))
+    assert json.dumps(star_to_json(back)) == json.dumps(doc)
