@@ -110,16 +110,18 @@ def frac_str(x: Fraction) -> str:
     return str(as_frac(x))
 
 
-_RATIONAL = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+_RATIONAL = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 
 
 def parse_frac(s: str) -> Fraction:
     """Parse 'p/q' or 'p'; rejects 'inf', decimals and anything else."""
     if not isinstance(s, str):
         raise ValueError(f"rational must be a string, got {type(s).__name__}")
-    if not _RATIONAL.match(s.strip()):
+    m = _RATIONAL.match(s.strip())
+    if not m:
         raise ValueError(f"bad rational {s!r}: expected 'p/q' or 'p'")
-    return Fraction(s.strip())
+    p, q = m.groups()
+    return Fraction(int(p), int(q) if q else 1)
 
 
 def parse_mass(s: str) -> ExtMass:

@@ -9,7 +9,11 @@ when its pieces have unit slope.
 A word on the associated balloon tree is realized move by move on region
 queues: each fixed region (the center, each cell, each tail) keeps the
 ordered source segments the map sends onto it, and an edge transfer moves
-the segments holding its amount across the edge.  A pool segment stands
+the segments holding its amount across the edge.  The queues count exact
+integer units 1/U, with U the least common multiple of the denominators
+of the star's interval ends and of the word's base masses, amounts and
+rearranged masses; every edge move is a whole number of units, and the
+pieces are converted back to Fractions once.  A pool segment stands
 in for the center block; segments crossing between pool and rays model
 the mixing the center performs, treated as a black box (only the rays
 are honest 1-D geometry).  The interior distribution of a block is below
@@ -23,6 +27,7 @@ independent of the flux accounting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -42,9 +47,9 @@ from .transport import (
     MoveWord,
     Rearrange,
     _preserves,
+    _rearrangement_moves,
     _Runner,
     charge_of_word,
-    rearrange_to_moves,
 )
 from .tree import BalloonTree
 
@@ -394,10 +399,12 @@ def region_intervals(star: RayStar, region) -> list:
 # A segment (loc, start, mass, direction) is the source interval
 # [start, start + mass) on location loc, read forwards along its region
 # when direction is +1 and backwards when it is -1.  Only tails hold an
-# infinite segment, always forwards and last.
+# infinite segment, always forwards and last.  Starts and masses are ints
+# counting units 1/U of the builder's common denominator U; ``INF`` orders
+# and absorbs against ints as it does against Fractions.
 
 
-def _split(seg, m: Fraction):
+def _split(seg, m: int):
     """Cut a segment after mass m from its front: (front, rest)."""
     loc, start, mass, d = seg
     if d > 0:
@@ -405,7 +412,7 @@ def _split(seg, m: Fraction):
     return (loc, start + mass - m, m, d), (loc, start, mass - m, d)
 
 
-def _take_front(queue: list, m: Fraction) -> list:
+def _take_front(queue: list, m: int) -> list:
     """Remove and return the segments holding the queue's first m of mass."""
     taken = []
     while m:
@@ -420,7 +427,7 @@ def _take_front(queue: list, m: Fraction) -> list:
     return taken
 
 
-def _take_back(queue: list, m: Fraction) -> list:
+def _take_back(queue: list, m: int) -> list:
     """Remove and return the segments holding the queue's last m of mass."""
     taken = []
     while m:
@@ -453,10 +460,36 @@ def _reverse(queue: list) -> list:
     return [(loc, start, m, -d) for (loc, start, m, d) in reversed(queue)]
 
 
+def _in_units(x: ExtMass, unit: int):
+    """x as an int count of units 1/unit (``INF`` stays ``INF``); x must
+    be a whole number of units."""
+    return x if is_inf(x) else x.numerator * (unit // x.denominator)
+
+
+def _word_unit(word: MoveWord) -> int:
+    """Common denominator of the word's base block masses, balloon amounts
+    and rearranged masses.  The edge moves a rearrangement decomposes into
+    are differences of block masses reached from these, so they are whole
+    numbers of units too."""
+    dens = {m.denominator for m in word.base.blocks.values()}
+    for mv in word.moves:
+        if isinstance(mv, BalloonMove):
+            dens.add(mv.amount.denominator)
+        elif isinstance(mv, Rearrange):
+            dens.update(m.denominator for m in mv.masses.values())
+    return math.lcm(*dens)
+
+
 class _PLBuilder:
     """Tracks h by region queues: for each fixed region of the star (the
     center, each cell, each tail), the ordered source segments that h maps
     onto it.
+
+    Queues hold exact ints counting units 1/U, where U is the least common
+    multiple of ``unit`` and the denominators of the star's finite
+    interval ends; an edge move whose amount is not a whole number of
+    units is refused, never rounded.  ``to_plmap`` converts back to
+    Fractions once per piece.
 
     An edge move of amount d > 0 takes the segments holding the last d of
     mass of the parent's region and puts them, in order, in front of the
@@ -467,24 +500,49 @@ class _PLBuilder:
     ``center_mass`` down to 0, so the same rule holds there.
     """
 
-    def __init__(self, star: RayStar):
+    def __init__(self, star: RayStar, unit: int = 1):
         self.star = star
-        self.queues = {
-            v: [(loc, lo, hi - lo, One)]
+        self.unit = math.lcm(
+            unit,
+            *(
+                x.denominator
+                for (_, lo, hi) in star.node_intervals.values()
+                for x in (lo, hi)
+                if not is_inf(x)
+            ),
+        )
+        self.intervals = {
+            v: (loc, _in_units(lo, self.unit), _in_units(hi, self.unit))
             for v, (loc, lo, hi) in star.node_intervals.items()
+        }
+        self.queues = {
+            v: [(loc, lo, hi - lo, 1)]
+            for v, (loc, lo, hi) in self.intervals.items()
         }
         center = star.center_id()
         self.queues[center] = _reverse(self.queues[center])
+
+    def _units(self, move: BalloonMove) -> int:
+        """The move's amount in units; the one place a move's Fraction is
+        read."""
+        amount = move.amount
+        if self.unit % amount.denominator:
+            raise RealizationError(
+                f"edge move of {amount} across {move.edge!r} is not a "
+                f"whole number of units 1/{self.unit}"
+            )
+        return amount.numerator * (self.unit // amount.denominator)
 
     def apply_edge_move(self, move: BalloonMove):
         parent, child = move.edge
         if self.star.to_tree().parent.get(child) != parent:
             raise TreeMismatchError(f"edge {move.edge!r} is not a star edge")
+        d = self._units(move)
         q = self.queues
-        if move.amount > 0:
-            q[child] = _join(_take_back(q[parent], move.amount), q[child])
-        elif move.amount < 0:
-            q[parent] = _join(q[parent], _take_front(q[child], -move.amount))
+        if d > 0:
+            q[child] = _join(_take_back(q[parent], d), q[child])
+        elif d < 0:
+            q[parent] = _join(q[parent], _take_front(q[child], -d))
 
     def to_plmap(self) -> PLMap:
         """Lay every region out at unit density and invert.
@@ -497,7 +555,7 @@ class _PLBuilder:
         star = self.star
         laid = [[] for _ in range(star.ray_count + 1)]
         ends = {}
-        for v, (loc, lo, hi) in star.node_intervals.items():
+        for v, (loc, lo, hi) in self.intervals.items():
             segs = self.queues[v]
             if v == star.center_id():
                 segs = _reverse(segs)
@@ -512,20 +570,35 @@ class _PLBuilder:
                     "normalization requires restored block masses"
                 )
             ends[loc] = hi
-        pieces = [
-            _inverse_piece(loc, *piece)
+        # the inverse of x -> a + s * x (s = +-1) is y -> -a * s + s * y
+        inverse = [
+            (dst, *_image(a, s, lo, hi), loc, -a * s, s)
             for loc, q in enumerate(laid)
-            for piece in _merge_pieces(q)
+            for (lo, hi, dst, a, s) in _merge_pieces(q)
         ]
-        pieces.sort(key=lambda p: (p.src, p.lo))
-        reached = {loc: Zero for loc in ends}
-        for p in pieces:
-            if p.lo != reached[p.src]:
+        inverse.sort(key=lambda p: (p[0], p[1]))
+        reached = {loc: 0 for loc in ends}
+        for (src, lo, hi, *_) in inverse:
+            if lo != reached[src]:
                 raise RealizationError("realized map is not a bijection")
-            reached[p.src] = p.hi
+            reached[src] = hi
         if reached != ends:
             raise RealizationError("realized map is not a bijection")
-        return PLMap(star, tuple(pieces))
+        unit = self.unit
+        return PLMap(
+            star,
+            tuple(
+                Piece(
+                    src,
+                    Fraction(lo, unit),
+                    hi if is_inf(hi) else Fraction(hi, unit),
+                    dst,
+                    Fraction(a, unit),
+                    One if s > 0 else -One,
+                )
+                for (src, lo, hi, dst, a, s) in inverse
+            ),
+        )
 
 
 def realize_word(star: RayStar, word: MoveWord) -> PLMap:
@@ -534,15 +607,18 @@ def realize_word(star: RayStar, word: MoveWord) -> PLMap:
     tree = star.to_tree()
     if word.tree != tree:
         raise TreeMismatchError("word does not live on the star's tree")
-    builder = _PLBuilder(star)
+    builder = _PLBuilder(star, _word_unit(word))
     runner = _Runner(word.base)
     for mv in word.moves:
-        edge_moves = [mv]
+        # the runner checks each move, a rearrangement once, before the
+        # builder sees it
+        replaced = runner.apply(mv)
         if isinstance(mv, Rearrange):
-            edge_moves = rearrange_to_moves(tree, runner, mv.support, mv.masses)
-        runner.apply(mv)
-        for sub in edge_moves:
-            builder.apply_edge_move(sub)
+            anchor = tree.top(mv.support)
+            for sub in _rearrangement_moves(tree, anchor, replaced, mv.masses):
+                builder.apply_edge_move(sub)
+        else:
+            builder.apply_edge_move(mv)
     if not _preserves(word, runner):
         raise ChargeUndefinedError("only measure-preserving words realize")
     return builder.to_plmap()

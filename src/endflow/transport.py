@@ -361,9 +361,20 @@ def rearrange_to_moves(
     new = {v: as_frac(m) for v, m in new_masses.items()}
     anchor = _check_rearrange(tree, state, sup, new)
     cur = {v: state.blocks[v] for v in sup}
+    return _rearrangement_moves(tree, anchor, cur, new)
+
+
+def _rearrangement_moves(
+    tree: BalloonTree,
+    anchor: str,
+    cur: Mapping[str, Fraction],
+    new: Mapping[str, Fraction],
+) -> List[BalloonMove]:
+    """Edge moves taking the checked support masses ``cur`` to ``new``
+    through the support's top node ``anchor``."""
     # a node sends its surplus or receives its deficit, never both, so the
     # starting masses settle both passes
-    order = sorted(sup - {anchor}, key=tree.preorder_index.__getitem__)
+    order = sorted(set(cur) - {anchor}, key=tree.preorder_index.__getitem__)
     moves: List[BalloonMove] = []
     for v in order:
         if cur[v] > new[v]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -403,6 +404,32 @@ def test_oracle_command(tmp_path, capsys):
     assert out["match"] is True
     assert out["cuts"] == 3
     assert out["word_charge"] == out["definition_charge"]
+
+
+# sha256 of ``endflow oracle`` stdout on the five seeded stars below; a new
+# value means the oracle's output changed
+ORACLE_STDOUT_SHA256 = (
+    "197cfedc34b403ec74c45cb296866435e3b4e28429ed861f70b1956cff0b103f"
+)
+
+
+def test_oracle_stdout_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for seed in range(5):
+        rng = Random(f"oracle-stdout:{seed}")
+        star = random_star(rng, max_rays=5, max_depth=6)
+        tree = star.to_tree()
+        word = random_preserving_word(
+            rng, tree, base_state(tree), transfers=6, shuffles=3
+        )
+        star_p = tmp_path / f"star{seed}.json"
+        word_p = tmp_path / f"word{seed}.json"
+        star_p.write_text(json.dumps(serialize.star_to_json(star)))
+        word_p.write_text(json.dumps(serialize.word_to_json(word)))
+        cmd = ["oracle", "--star", str(star_p), "--word", str(word_p)]
+        assert main(cmd) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == ORACLE_STDOUT_SHA256
 
 
 def test_push_command(tmp_path, capsys, star_tree):

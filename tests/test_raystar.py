@@ -133,6 +133,24 @@ def test_edge_move_beyond_the_region_mass_is_a_realization_error(three_star):
         builder.apply_edge_move(BalloonMove(("c", "r0c0"), Fraction(5)))
 
 
+def test_edge_move_off_the_unit_is_refused_not_rounded(three_star):
+    # every interval end of the star is an integer, so its own unit is 1
+    builder = _PLBuilder(three_star)
+    with pytest.raises(
+        RealizationError,
+        match=r"edge move of 1/3 across \('c', 'r0c0'\) is not a whole "
+        r"number of units 1/1$",
+    ):
+        builder.apply_edge_move(BalloonMove(("c", "r0c0"), Fraction(1, 3)))
+    assert builder.queues == _PLBuilder(three_star).queues
+    # a builder on a finer unit takes the move
+    builder = _PLBuilder(three_star, 6)
+    builder.apply_edge_move(BalloonMove(("c", "r0c0"), Fraction(1, 3)))
+    builder.apply_edge_move(BalloonMove(("c", "r0c0"), Fraction(-1, 3)))
+    h = builder.to_plmap()
+    assert [(p.lo, p.a, p.slope) for p in h.pieces] == [(0, 0, 1)] * 4
+
+
 @pytest.mark.parametrize(
     "center, cells, tails, where",
     [

@@ -1,9 +1,10 @@
 import json
+import re
 from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from endflow.charge import EndCharge
@@ -44,6 +45,49 @@ def test_rational_parsing():
         parse_frac("1.5e3")
     with pytest.raises(ValueError):
         parse_frac("1/0")
+
+
+_TWO_PASS_RATIONAL = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+
+
+def _parse_frac_two_pass(s):
+    """parse_frac as it was before it parsed once: a match, then a second
+    parse of the same text by ``Fraction(str)``."""
+    if not isinstance(s, str):
+        raise ValueError(f"rational must be a string, got {type(s).__name__}")
+    if not _TWO_PASS_RATIONAL.match(s.strip()):
+        raise ValueError(f"bad rational {s!r}: expected 'p/q' or 'p'")
+    return Fraction(s.strip())
+
+
+def _outcome(parse, s):
+    try:
+        return repr(parse(s))
+    except Exception as e:  # the error's type and text must agree as well
+        return (type(e).__name__, str(e))
+
+
+# signs, ASCII, Arabic-Indic and fullwidth digits, ASCII and Unicode
+# whitespace, and the pieces of decimals, exponents, underscores and 'inf'
+_RATIONAL_TOKENS = st.sampled_from(
+    ["+", "-", "/", "0", "1", "3", "9", "12", "/0", " ", "\t", "\n",
+     "\x0b", "\x1c", "\u00a0", "\u0661", "\u0660", "\uff11", ".", "_",
+     "e", "E", "inf", "x"]
+)
+
+
+@settings(max_examples=600)
+@given(st.lists(_RATIONAL_TOKENS, max_size=8).map("".join))
+@example("1" * 4301)
+@example("-" + "1" * 4300)
+@example("3/" + "1" * 4301)
+@example(" \u0661\u0662/\u0663 ")
+@example("\u00a0-7/21\n")
+@example("5\n\n")
+@example(None)
+@example(7)
+def test_parse_frac_agrees_with_the_two_pass_parser(s):
+    assert _outcome(parse_frac, s) == _outcome(_parse_frac_two_pass, s)
 
 
 def test_tree_round_trip(star_tree):
