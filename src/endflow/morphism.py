@@ -26,6 +26,7 @@ from .transport import (
     MoveWord,
     Rearrange,
     _Runner,
+    _word_unit,
     charge_of_word,
 )
 from .tree import BalloonTree
@@ -179,7 +180,7 @@ def _push_moves(pi: TreeMorphism, word: MoveWord, skip_collapsed: bool):
     (fiber-mates outside a shuffle's support keep their mass).
 
     Errors raised by the runner carry the failing index in ``move_index``."""
-    runner = _Runner(word.base)
+    runner = _Runner(word.base, _word_unit(word))
     out = []
     for i, mv in enumerate(word.moves):
         try:
@@ -206,11 +207,10 @@ def _push_moves(pi: TreeMorphism, word: MoveWord, skip_collapsed: bool):
                     )
             else:
                 masses = {
-                    tgt: sum(
-                        (runner.blocks[v] for v in pi.fibers[tgt]), Fraction(0)
-                    )
+                    tgt: sum(runner.blocks[v] for v in pi.fibers[tgt])
                     for tgt in mapped
                 }
+                masses = runner._out_all(masses)
                 out.append(Rearrange(mapped, masses))
     return out
 

@@ -12,11 +12,12 @@ ordered source segments the map sends onto it, and an edge transfer moves
 the segments holding its amount across the edge.  The queues count exact
 integer units 1/U, with U the least common multiple of the denominators
 of the star's interval ends and of the word's base masses, amounts and
-rearranged masses; every edge move is a whole number of units, and the
-pieces are converted back to Fractions once.  A pool segment stands
-in for the center block; segments crossing between pool and rays model
-the mixing the center performs, treated as a black box (only the rays
-are honest 1-D geometry).  The interior distribution of a block is below
+rearranged masses; every edge move is a whole number of units, the
+replay that checks the word runs on the same unit (so a shuffle is
+decomposed on its ints), and the pieces are converted back to Fractions
+once.  A pool segment stands in for the center block; segments crossing
+between pool and rays model the mixing the center performs, treated as a
+black box (only the rays are honest 1-D geometry).  The interior distribution of a block is below
 the model's resolution, so each region is finally laid out at uniform
 density: every piece has unit slope and all rational data stay small.
 The end charge of the realized map is then recomputed from the raw
@@ -49,6 +50,7 @@ from .transport import (
     _preserves,
     _rearrangement_moves,
     _Runner,
+    _word_unit,
     charge_of_word,
 )
 from .tree import BalloonTree
@@ -466,20 +468,6 @@ def _in_units(x: ExtMass, unit: int):
     return x if is_inf(x) else x.numerator * (unit // x.denominator)
 
 
-def _word_unit(word: MoveWord) -> int:
-    """Common denominator of the word's base block masses, balloon amounts
-    and rearranged masses.  The edge moves a rearrangement decomposes into
-    are differences of block masses reached from these, so they are whole
-    numbers of units too."""
-    dens = {m.denominator for m in word.base.blocks.values()}
-    for mv in word.moves:
-        if isinstance(mv, BalloonMove):
-            dens.add(mv.amount.denominator)
-        elif isinstance(mv, Rearrange):
-            dens.update(m.denominator for m in mv.masses.values())
-    return math.lcm(*dens)
-
-
 class _PLBuilder:
     """Tracks h by region queues: for each fixed region of the star (the
     center, each cell, each tail), the ordered source segments that h maps
@@ -537,7 +525,11 @@ class _PLBuilder:
         parent, child = move.edge
         if self.star.to_tree().parent.get(child) != parent:
             raise TreeMismatchError(f"edge {move.edge!r} is not a star edge")
-        d = self._units(move)
+        self._shift(move.edge, self._units(move))
+
+    def _shift(self, edge, d: int):
+        """Move ``d`` units across a star edge by the queue rule above."""
+        parent, child = edge
         q = self.queues
         if d > 0:
             q[child] = _join(_take_back(q[parent], d), q[child])
@@ -608,15 +600,18 @@ def realize_word(star: RayStar, word: MoveWord) -> PLMap:
     if word.tree != tree:
         raise TreeMismatchError("word does not live on the star's tree")
     builder = _PLBuilder(star, _word_unit(word))
-    runner = _Runner(word.base)
+    # the runner shares the builder's unit, so a shuffle is decomposed on
+    # the ints the runner holds
+    runner = _Runner(word.base, builder.unit)
     for mv in word.moves:
         # the runner checks each move, a rearrangement once, before the
         # builder sees it
         replaced = runner.apply(mv)
         if isinstance(mv, Rearrange):
+            new = {v: runner.blocks[v] for v in mv.support}
             anchor = tree.top(mv.support)
-            for sub in _rearrangement_moves(tree, anchor, replaced, mv.masses):
-                builder.apply_edge_move(sub)
+            for edge, d in _rearrangement_moves(tree, anchor, replaced, new):
+                builder._shift(edge, d)
         else:
             builder.apply_edge_move(mv)
     if not _preserves(word, runner):

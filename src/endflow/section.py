@@ -315,11 +315,17 @@ def _align(
     holds the inner-cut blocks to compare: the whole inner cut, or, when
     the states agreed on the previous level's inner cut, the blocks that
     level added and the blocks its moves touched, since no other block of
-    either state has changed since.  Each piece's core is its share of the
-    added blocks ``outer - inner``, found through the preorder interval of
-    its subtree.  So a level pays for the blocks it adds and the moves it
-    makes, not for the cut it starts from; the one cost left that is O(n)
-    per deep balloon is the bug sentinel's state copy (with the regions it
+    either state has changed since.  The transfer check runs on the
+    hanging roots whose parent is in ``check`` (the root when the inner cut
+    is empty): any other hanging root hung from the previous level's inner
+    cut, passed that level's check, and no move has crossed its edge
+    since, for a move across it would have touched its parent.  Each
+    piece with a core (its share of the added blocks ``outer - inner``,
+    found through the preorder interval of its subtree) is reached from
+    the core's top, and its hanging root gives way to the core's in the
+    list.  So a level pays for the blocks it adds and the moves it makes,
+    not for the cut it starts from; the one cost left that is O(n) per
+    deep balloon is the bug sentinel's state copy (with the regions it
     sums).  Returns the outer cut's hanging roots in preorder and the
     outer-cut blocks the next level must compare.
 
@@ -339,7 +345,13 @@ def _align(
         p = tree.parent.get(root)
         return Fraction(0) if p is None else r.flux[(p, root)]
 
-    for h in hanging:
+    index, stop, nodes = tree.preorder_index, tree._preorder_stop, tree.nodes
+    recheck = (
+        {c for v in check for c in tree.child_map(v) if c not in inner}
+        if inner
+        else {tree.root}
+    )
+    for h in sorted(recheck, key=index.__getitem__):
         have = inflow(runner, h) - inflow(target_runner, h)
         if have != below[h]:
             raise AlignPreconditionError(
@@ -347,24 +359,24 @@ def _align(
                 f"the inner cut: {have} != {below[h]}"
             )
 
-    index, stop, nodes = tree.preorder_index, tree._preorder_stop, tree.nodes
     added = outer - inner
     positions = sorted(map(index.__getitem__, added))
+    tops = [
+        nodes[i] for i in positions if tree.parent.get(nodes[i]) not in added
+    ]
     first_move = len(out_moves)
-    next_hanging: List[str] = []
-    for h in hanging:
+    # pieces without a core lie beyond the outer cut: other pieces'
+    # corrections stay in their own subtrees, so their transfer check holds
+    next_hanging = list(hanging)
+    for h in tops:
         lo = bisect_left(positions, index[h])
         hi = bisect_left(positions, stop[h], lo)
-        if lo == hi:
-            # beyond the outer cut: other pieces' corrections stay in their
-            # own subtrees, so the transfer check above still holds here
-            next_hanging.append(h)
-            continue
         core = frozenset(map(nodes.__getitem__, positions[lo:hi]))
         # children of the core outside it are the outer cut's hanging
-        # roots inside this piece
+        # roots inside this piece, and lie between h and the next root
         deep_roots = _hanging(tree, core)
-        next_hanging += deep_roots
+        at = bisect_left(next_hanging, index[h], key=index.__getitem__)
+        next_hanging[at : at + 1] = deep_roots
         deeps = [(hb, tree.subtree(hb)) for hb in deep_roots]
         for j, (hb, B) in enumerate(deeps):
             target = below[hb] + inflow(target_runner, hb) - inflow(runner, hb)
@@ -410,8 +422,10 @@ def align_step(
         raise TreeMismatchError("alignment inputs live on different trees")
     if word.base != mu or target_word.base != mu:
         raise AlignPreconditionError("words must be based at the given measure")
-    runner = _replay(word)
-    target_runner = _replay(target_word)
+    # replayed on the words' units, then read out to Fractions for the
+    # level's own moves
+    runner = _replay(word).fractions()
+    target_runner = _replay(target_word).fractions()
     inner = check_region(tree, inner)
     outer = check_region(tree, outer)
     for name, cut in (("inner", inner), ("outer", outer)):

@@ -17,13 +17,20 @@ collecting these leaf values yields the word's end charge.  A
 mass changes (:meth:`BalloonTree.sums_below`), the same Kirchhoff sum
 that forces the flux of a charge.  Two words are considered equal
 extensionally: same final state and same flux field.
+
+Every replay of a given word runs on exact integers: :func:`_word_unit`
+gives the least common multiple U of the denominators the word holds, and
+the replaying runner counts masses and fluxes in units of 1/U, making a
+``Fraction`` only for what it hands back.  Runners whose moves are not
+known before they run keep ``Fraction`` values (see :class:`_Runner`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Mapping, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Tuple, Union
 
 from .charge import EndCharge
 from .errors import (
@@ -33,7 +40,7 @@ from .errors import (
     NonPositiveBlockError,
     TreeMismatchError,
 )
-from .extmath import as_frac, is_inf
+from .extmath import ExtMass, as_frac, is_inf
 from .measure import MeasureState
 from .tree import BalloonTree, Edge, frontier_edges
 
@@ -119,31 +126,87 @@ def empty_word(mu: MeasureState) -> MoveWord:
 
 
 class _Runner:
-    """Mutable evaluation state shared by the appliers and the scheduler."""
+    """Mutable evaluation state shared by the appliers and the scheduler.
 
-    __slots__ = ("tree", "blocks", "tails", "flux")
+    A runner built with a ``unit`` U keeps its block masses, finite tail
+    masses and fluxes as Python ints counting units 1/U; U must make every
+    amount it will meet a whole number of units, which
+    :func:`_word_unit` guarantees for the replay of a given word.  Each
+    amount is read in once (:meth:`_in`), and a Fraction is made only on
+    the way out (:meth:`_out`): the state, the flux field, the node masses
+    and error texts.  A runner without a unit keeps Fractions; that is
+    what runners whose amounts are not known before they run use (the
+    section's two runners, random words, :func:`apply_move`).  The checks
+    are the same either way.
+    """
 
-    def __init__(self, mu: MeasureState):
+    __slots__ = ("tree", "unit", "blocks", "tails", "flux")
+
+    def __init__(self, mu: MeasureState, unit: Optional[int] = None):
         self.tree = mu.tree
-        self.blocks = dict(mu.blocks)
-        self.tails = dict(mu.tails)
-        self.flux = {e: Fraction(0) for e in mu.tree.edges}
+        self.unit = unit
+        self.blocks = self._in_all(mu.blocks)
+        self.tails = self._in_all(mu.tails)
+        zero = Fraction(0) if unit is None else 0
+        self.flux = dict.fromkeys(mu.tree.edges, zero)
+
+    def _in(self, x: Fraction):
+        """A rational in this runner's units: an int count of 1/unit, or x
+        itself on a runner without a unit."""
+        unit = self.unit
+        if unit is None:
+            return x
+        den = x.denominator
+        if unit % den:
+            raise ValueError(f"{x} is not a whole number of units 1/{unit}")
+        return x.numerator * (unit // den)
+
+    def _out(self, x) -> Fraction:
+        """A value in this runner's units as a Fraction."""
+        return x if self.unit is None else Fraction(x, self.unit)
+
+    def _in_all(self, values: Mapping) -> dict:
+        """A copy of ``values`` in the runner's units; infinite tails pass
+        through."""
+        if self.unit is None:
+            return dict(values)
+        read = self._in
+        return {k: x if is_inf(x) else read(x) for k, x in values.items()}
+
+    def _out_all(self, values: Mapping) -> dict:
+        """A copy of ``values`` as Fractions; infinite tails pass through."""
+        unit = self.unit
+        if unit is None:
+            return dict(values)
+        return {
+            k: x if is_inf(x) else Fraction(x, unit) for k, x in values.items()
+        }
 
     # node mass with infinity passthrough
-    def node_mass(self, v: str):
+    def node_mass(self, v: str) -> ExtMass:
         if v in self.tails:
-            return self.tails[v]
-        return self.blocks[v]
+            m = self.tails[v]
+            return m if is_inf(m) else self._out(m)
+        return self._out(self.blocks[v])
 
     def state(self) -> MeasureState:
-        return MeasureState(self.tree, dict(self.blocks), dict(self.tails))
+        return MeasureState(
+            self.tree, self._out_all(self.blocks), self._out_all(self.tails)
+        )
 
     def flux_field(self) -> FluxField:
-        return FluxField(self.tree, dict(self.flux))
+        return FluxField(self.tree, self._out_all(self.flux))
+
+    def fractions(self) -> "_Runner":
+        """A runner without a unit at this runner's state and flux, to go
+        on with moves whose amounts the unit may not cover."""
+        r = _Runner(self.state())
+        r.flux = self._out_all(self.flux)
+        return r
 
     def apply(self, move: Move):
         """Check and apply one move; a rearrangement returns the masses
-        it replaced."""
+        it replaced, in the runner's units."""
         if isinstance(move, BalloonMove):
             self._apply_balloon(move)
         elif isinstance(move, Rearrange):
@@ -153,17 +216,14 @@ class _Runner:
 
     def _apply_balloon(self, move: BalloonMove):
         p, c = move.edge
-        d = move.amount
         if (p, c) not in self.flux:
             raise TreeMismatchError(f"no edge {move.edge!r} in the tree")
         if p in self.tails:
             raise BadSupportError(f"parent {p!r} is a tail")
+        d = self._in(move.amount)
         new_p = self.blocks[p] - d
         if new_p <= 0:
-            raise NonPositiveBlockError(
-                f"block {p!r} would drop to {new_p} "
-                f"moving {d} across {move.edge!r}"
-            )
+            self._refuse("block", p, new_p, move)
         if c in self.tails:
             m = self.tails[c]
             if is_inf(m):
@@ -171,60 +231,81 @@ class _Runner:
             else:
                 new_c = m + d
                 if new_c <= 0:
-                    raise NonPositiveBlockError(
-                        f"tail {c!r} would drop to {new_c} "
-                        f"moving {d} across {move.edge!r}"
-                    )
+                    self._refuse("tail", c, new_c, move)
             self.tails[c] = new_c
         else:
             new_c = self.blocks[c] + d
             if new_c <= 0:
-                raise NonPositiveBlockError(
-                    f"block {c!r} would drop to {new_c} "
-                    f"moving {d} across {move.edge!r}"
-                )
+                self._refuse("block", c, new_c, move)
             self.blocks[c] = new_c
         self.blocks[p] = new_p
         self.flux[(p, c)] += d
 
+    def _refuse(self, kind: str, v: str, new, move: BalloonMove):
+        raise NonPositiveBlockError(
+            f"{kind} {v!r} would drop to {self._out(new)} "
+            f"moving {move.amount} across {move.edge!r}"
+        )
+
     def _apply_rearrange(self, move: Rearrange):
-        top = _check_rearrange(self.tree, self, move.support, move.masses)
+        read = self._in
+        masses = {v: read(m) for v, m in move.masses.items()}
+        top = self._check_rearrange(move.support, masses)
         old = {v: self.blocks[v] for v in move.support}
-        delta = {v: move.masses[v] - old[v] for v in move.support}
+        delta = {v: masses[v] - old[v] for v in move.support}
         # Kirchhoff-consistent attribution: each edge picks up the total
         # mass change below it, zero outside the mass-conserving support.
         below = self.tree.sums_below(delta, move.support)
         for v in move.support:
             if v != top:
                 self.flux[(self.tree.parent[v], v)] += below[v]
-            self.blocks[v] = move.masses[v]
+            self.blocks[v] = masses[v]
         return old
 
+    def _check_rearrange(self, support, masses) -> str:
+        """Check a rearrangement to ``masses`` (in the runner's units);
+        return the support's top node."""
+        if not support:
+            raise BadSupportError("empty rearrangement support")
+        if set(masses) != set(support):
+            raise BadSupportError("masses must cover exactly the support")
+        for v in support:
+            if v in self.tails:
+                raise BadSupportError(f"support touches tail {v!r}")
+            if v not in self.blocks:
+                raise BadSupportError(f"support node {v!r} not in tree")
+        top = self.tree.top(support)
+        if top is None:
+            raise BadSupportError("support is not connected")
+        for v, m in masses.items():
+            if m <= 0:
+                raise NonPositiveBlockError(
+                    f"rearranged mass at {v!r} is {self._out(m)}"
+                )
+        old_total = sum(self.blocks[v] for v in support)
+        new_total = sum(masses.values())
+        if old_total != new_total:
+            raise MassNotConservedError(
+                f"support mass {self._out(old_total)} != rearranged mass "
+                f"{self._out(new_total)}"
+            )
+        return top
 
-def _check_rearrange(tree: BalloonTree, state, support, masses) -> str:
-    """Check a rearrangement of ``state``; return the support's top node."""
-    if not support:
-        raise BadSupportError("empty rearrangement support")
-    if set(masses) != set(support):
-        raise BadSupportError("masses must cover exactly the support")
-    for v in support:
-        if v in state.tails:
-            raise BadSupportError(f"support touches tail {v!r}")
-        if v not in state.blocks:
-            raise BadSupportError(f"support node {v!r} not in tree")
-    top = tree.top(support)
-    if top is None:
-        raise BadSupportError("support is not connected")
-    for v, m in masses.items():
-        if m <= 0:
-            raise NonPositiveBlockError(f"rearranged mass at {v!r} is {m}")
-    old_total = sum((state.blocks[v] for v in support), Fraction(0))
-    new_total = sum(masses.values(), Fraction(0))
-    if old_total != new_total:
-        raise MassNotConservedError(
-            f"support mass {old_total} != rearranged mass {new_total}"
-        )
-    return top
+
+def _word_unit(word: MoveWord) -> int:
+    """The unit a replay of the word runs on: the least common multiple of
+    the denominators of its base block masses, finite tail masses, balloon
+    amounts and rearranged masses.  Every mass and flux a replay reaches
+    is a sum of these, so a whole number of units."""
+    base = word.base
+    dens = {m.denominator for m in base.blocks.values()}
+    dens.update(m.denominator for m in base.tails.values() if not is_inf(m))
+    for mv in word.moves:
+        if isinstance(mv, BalloonMove):
+            dens.add(mv.amount.denominator)
+        elif isinstance(mv, Rearrange):
+            dens.update(m.denominator for m in mv.masses.values())
+    return math.lcm(*dens)
 
 
 def apply_move(
@@ -238,11 +319,11 @@ def apply_move(
 
 
 def _replay(word: MoveWord) -> _Runner:
-    """A runner left at the word's final state and flux.
+    """A runner on the word's unit left at its final state and flux.
 
     Errors raised by a move carry the failing index in ``move_index``.
     """
-    r = _Runner(word.base)
+    r = _Runner(word.base, _word_unit(word))
     for i, m in enumerate(word.moves):
         try:
             r.apply(m)
@@ -265,7 +346,7 @@ def _preserves(word: MoveWord, r: _Runner) -> bool:
     """The runner, left at the word's end, holds the base blocks and no
     net flux has entered any finite tail."""
     t = word.tree
-    return r.blocks == word.base.blocks and all(
+    return r.blocks == r._in_all(word.base.blocks) and all(
         is_inf(word.base.tails[v]) or r.flux[t.leaf_edge(v)] == 0
         for v in t.end_leaves
     )
@@ -285,7 +366,9 @@ def charge_of_word(word: MoveWord) -> EndCharge:
             "word does not preserve its base measure; charge undefined"
         )
     t = word.tree
-    return EndCharge(t, {v: r.flux[t.leaf_edge(v)] for v in t.end_leaves})
+    return EndCharge(
+        t, {v: r._out(r.flux[t.leaf_edge(v)]) for v in t.end_leaves}
+    )
 
 
 def concat(w1: MoveWord, w2: MoveWord) -> MoveWord:
@@ -299,12 +382,12 @@ def invert_word(word: MoveWord) -> MoveWord:
     masses recorded just before they were applied.  The inverse is based
     at the word's final state, so ``concat(w, invert_word(w))`` returns
     to the base with zero flux."""
-    r = _Runner(word.base)
+    r = _Runner(word.base, _word_unit(word))
     inv: List[Move] = []
     for m in word.moves:
         replaced = r.apply(m)
         if isinstance(m, Rearrange):
-            inv.append(Rearrange(m.support, replaced))
+            inv.append(Rearrange(m.support, r._out_all(replaced)))
         else:
             inv.append(BalloonMove(m.edge, -m.amount))
     return MoveWord(word.tree, r.state(), tuple(reversed(inv)))
@@ -313,11 +396,9 @@ def invert_word(word: MoveWord) -> MoveWord:
 def region_transfer(word: MoveWord, region: Iterable[str]) -> Fraction:
     """Net mass the word moves into a region: signed flux over its
     frontier edges, oriented inward."""
-    flux = _replay(word).flux
-    total = Fraction(0)
-    for (e, sign) in frontier_edges(word.tree, region):
-        total += sign * flux[e]
-    return total
+    r = _replay(word)
+    edges = frontier_edges(word.tree, region)
+    return r._out(sum(sign * r.flux[e] for (e, sign) in edges))
 
 
 def extensionally_equal(w1: MoveWord, w2: MoveWord) -> bool:
@@ -329,19 +410,23 @@ def extensionally_equal(w1: MoveWord, w2: MoveWord) -> bool:
     return s1 == s2 and f1 == f2
 
 
+def _route_edges(tree: BalloonTree, src: str, dst: str, amount):
+    """The (edge, signed amount) steps carrying ``amount`` from ``src`` to
+    ``dst`` along the tree path, in any exact number type."""
+    path = tree.path(src, dst)
+    return [
+        ((a, b), amount) if tree.parent.get(b) == a else ((b, a), -amount)
+        for a, b in zip(path, path[1:])
+    ]
+
+
 def route(
     tree: BalloonTree, src: str, dst: str, amount: Fraction
 ) -> List[BalloonMove]:
     """Edge moves carrying ``amount`` from ``src`` to ``dst`` along the
     tree path.  Every intermediate stop receives before it sends, so the
     moves keep positivity whenever the source can spare the amount."""
-    path = tree.path(src, dst)
-    return [
-        BalloonMove((a, b), amount)
-        if tree.parent.get(b) == a
-        else BalloonMove((b, a), -amount)
-        for a, b in zip(path, path[1:])
-    ]
+    return [BalloonMove(e, d) for e, d in _route_edges(tree, src, dst, amount)]
 
 
 def rearrange_to_moves(
@@ -350,18 +435,21 @@ def rearrange_to_moves(
     support: Iterable[str],
     new_masses: Mapping[str, Fraction],
 ) -> List[BalloonMove]:
-    """Decompose a rearrangement of ``state`` (a measure state or a runner)
-    into edge moves with the same flux effect.
+    """Decompose a rearrangement of ``state`` into edge moves with the same
+    flux effect.
 
-    The runner's checks run first.  Surpluses are routed to the support's
-    top node, then deficits are served from there; every intermediate stop
+    ``state`` is a measure state or a runner; a runner is read through its
+    Fraction view (:meth:`_Runner.state`), whatever its unit.  The
+    runner's checks run first.  Surpluses are routed to the support's top
+    node, then deficits are served from there; every intermediate stop
     receives before it sends, so positivity never breaks.
     """
-    sup = frozenset(support)
-    new = {v: as_frac(m) for v, m in new_masses.items()}
-    anchor = _check_rearrange(tree, state, sup, new)
-    cur = {v: state.blocks[v] for v in sup}
-    return _rearrangement_moves(tree, anchor, cur, new)
+    mv = Rearrange(support, new_masses)
+    r = _Runner(state.state() if isinstance(state, _Runner) else state)
+    replaced = r.apply(mv)
+    anchor = tree.top(mv.support)
+    steps = _rearrangement_moves(tree, anchor, replaced, mv.masses)
+    return [BalloonMove(e, d) for e, d in steps]
 
 
 def _rearrangement_moves(
@@ -369,17 +457,18 @@ def _rearrangement_moves(
     anchor: str,
     cur: Mapping[str, Fraction],
     new: Mapping[str, Fraction],
-) -> List[BalloonMove]:
-    """Edge moves taking the checked support masses ``cur`` to ``new``
-    through the support's top node ``anchor``."""
+) -> List[Tuple[Edge, Fraction]]:
+    """The (edge, signed amount) steps taking the checked support masses
+    ``cur`` to ``new`` through the support's top node ``anchor``; the
+    amounts are in the units of the masses, Fractions or ints."""
     # a node sends its surplus or receives its deficit, never both, so the
     # starting masses settle both passes
     order = sorted(set(cur) - {anchor}, key=tree.preorder_index.__getitem__)
-    moves: List[BalloonMove] = []
+    steps: List[Tuple[Edge, Fraction]] = []
     for v in order:
         if cur[v] > new[v]:
-            moves += route(tree, v, anchor, cur[v] - new[v])
+            steps += _route_edges(tree, v, anchor, cur[v] - new[v])
     for v in order:
         if new[v] > cur[v]:
-            moves += route(tree, anchor, v, new[v] - cur[v])
-    return moves
+            steps += _route_edges(tree, anchor, v, new[v] - cur[v])
+    return steps

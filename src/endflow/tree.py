@@ -18,6 +18,8 @@ from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 from .errors import MalformedRegionError
 from .extmath import ExtMass, as_frac, as_mass, is_inf
 
+_ZERO = Fraction(0)
+
 Region = FrozenSet[str]
 EndSet = FrozenSet[str]
 Edge = Tuple[str, str]  # (parent, child)
@@ -188,7 +190,7 @@ class BalloonTree:
         region = self.node_set if region is None else region
         below = {}
         for v in sorted(region, key=self.preorder_index.__getitem__)[::-1]:
-            s = values.get(v, Fraction(0))
+            s = values.get(v, _ZERO)
             for c in self.children.get(v, ()):
                 if c in region:
                     s += below[c]

@@ -423,7 +423,12 @@ def _key(fn):
 KERNELS = {
     _key(f): f.__name__
     for f in (
-        _take_front, _take_back, _split, _join, _PLBuilder.apply_edge_move
+        _take_front,
+        _take_back,
+        _split,
+        _join,
+        _PLBuilder.apply_edge_move,
+        _PLBuilder._shift,
     )
 }
 
@@ -444,7 +449,8 @@ def test_queue_kernels_call_no_fraction_code():
     prof.disable()
     stats = pstats.Stats(prof).stats
     assert set(KERNELS) <= set(stats), "a queue kernel never ran"
-    assert stats[_key(_PLBuilder.apply_edge_move)][1] >= len(word)
+    # every balloon move and every step of a decomposed shuffle shifts
+    assert stats[_key(_PLBuilder._shift)][1] >= len(word)
     offenders = sorted(
         f"{KERNELS[caller]} -> {func[2]}"
         for func, (_, _, _, _, callers) in stats.items()

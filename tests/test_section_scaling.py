@@ -7,7 +7,9 @@ at three sizes, each twice the last, and every ratio of consecutive
 counts must stay under its bound.  ``TOTAL_BOUND`` still admits the bug
 sentinel's state copy, O(n) per deep balloon; the exact agreement check
 (``Fraction.__eq__``) and the tree walks (``BalloonTree.child_map``)
-must grow linearly on chains, where every level adds four blocks.
+must grow linearly on chains, where every level adds four blocks, and
+on chains with a finite tail off every cell, where the tails never join a
+cut and so pile up as hanging roots.
 """
 
 import cProfile
@@ -37,6 +39,26 @@ def _chain(depth):
     rng = Random(f"chain:{depth}")
     cells = tuple(tuple(_block_mass(rng) for _ in range(depth)) for _ in range(4))
     return RayStar(Fraction(rng.randint(4, 12), 2), cells, (INF,) * 4).to_tree()
+
+
+def _tailed_chain(depth):
+    """Two rays of ``depth`` cells, a tail of mass 2 off every cell and an
+    infinite tail at each ray's end."""
+    rng = Random(f"tailed:{depth}")
+    children = {"c": ("a0", "b0")}
+    weights = {"c": Fraction(rng.randint(4, 12), 2)}
+    tails = {}
+    for ray in "ab":
+        for k in range(depth):
+            v = f"{ray}{k}"
+            weights[v] = _block_mass(rng)
+            nxt = f"{ray}{k + 1}" if k + 1 < depth else f"{ray}e"
+            children[v] = (nxt, f"{v}t")
+            tails[f"{v}t"] = Fraction(2)
+        tails[f"{ray}e"] = INF
+    return BalloonTree(
+        root="c", children=children, weights=weights, tails=tails
+    )
 
 
 def _binary(depth):
@@ -80,9 +102,14 @@ COUNTED = {
 }
 
 
-def _call_counts(tree):
+def _tailed_charge(tree):
+    """+1/2 and -1/2 on the two infinite ends, nothing on the tails."""
+    return EndCharge(tree, {"ae": Fraction(1, 2), "be": Fraction(-1, 2)})
+
+
+def _call_counts(tree, charge):
     mu = base_state(tree)
-    a = _paired_charge(tree)
+    a = charge(tree)
     build_section(tree, mu, a)  # warm-up: fills the tree's cached structure
     prof = cProfile.Profile()
     prof.enable()
@@ -95,16 +122,18 @@ def _call_counts(tree):
     return counts
 
 
+LINEAR = {"Fraction.__eq__", "BalloonTree.child_map"}
 SHAPES = {
-    "chain": (_chain, (64, 128, 256), {"Fraction.__eq__", "BalloonTree.child_map"}),
-    "binary": (_binary, (7, 8, 9), set()),
+    "chain": (_chain, _paired_charge, (64, 128, 256), LINEAR),
+    "binary": (_binary, _paired_charge, (7, 8, 9), set()),
+    "tailed_chain": (_tailed_chain, _tailed_charge, (64, 128, 256), LINEAR),
 }
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_call_counts_per_doubling(shape):
-    build, sizes, linear = SHAPES[shape]
-    counts = [_call_counts(build(n)) for n in sizes]
+    build, charge, sizes, linear = SHAPES[shape]
+    counts = [_call_counts(build(n), charge) for n in sizes]
     for small, big in zip(counts, counts[1:]):
         assert big["total"] / small["total"] <= TOTAL_BOUND, counts
         for name in linear:
