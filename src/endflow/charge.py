@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 from .errors import TreeMismatchError
 from .extmath import as_frac
 from .measure import MeasureState, omega_finite_ends
-from .tree import BalloonTree, _check_ends
+from .tree import _ZERO, BalloonTree, _check_ends
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class EndCharge:
             raise TreeMismatchError(
                 f"charge values on non-End nodes: {sorted(foreign)}"
             )
-        full = {v: Fraction(0) for v in self.tree.end_leaves}
+        full = dict.fromkeys(self.tree.end_leaves, _ZERO)
         for k, v in self.values.items():
             full[k] = as_frac(v)
         object.__setattr__(self, "values", full)

@@ -34,7 +34,7 @@ from .errors import (
 from .extmath import frac_str, parse_frac
 from .measure import MeasureState, base_state
 from .morphism import TreeMorphism, push_charge, push_measure, push_word
-from .raystar import RayStar, charge_from_definition, realize_word
+from .raystar import RayStar, charge_from_definition, oracle_cuts, realize_word
 from .section import build_section, factorize, retract
 from .transport import MoveWord, apply_word, charge_of_word
 from .tree import BalloonTree, validate_tree
@@ -229,10 +229,9 @@ def cmd_oracle(args) -> int:
     # the tagged replay names a failing move before the realization runs
     flux_charge = charge_of_word(sc.word)
     h = realize_word(sc.star, sc.word)
-    base_cut = h.last_breakpoint() + 1
     defs = [
-        charge_from_definition(sc.star, h, base_cut + 7 * k)
-        for k in range(args.cuts)
+        charge_from_definition(sc.star, h, cut)
+        for cut in oracle_cuts(h, args.cuts)
     ]
     match = all(d == flux_charge for d in defs)
     _emit(

@@ -511,8 +511,9 @@ class _PLBuilder:
         self.queues[center] = _reverse(self.queues[center])
 
     def _units(self, move: BalloonMove) -> int:
-        """The move's amount in units; the one place a move's Fraction is
-        read."""
+        """The move's amount in units, for a move given to
+        :meth:`apply_edge_move`; :func:`realize_word` shifts by the amount
+        its runner read instead."""
         amount = move.amount
         if self.unit % amount.denominator:
             raise RealizationError(
@@ -604,19 +605,26 @@ def realize_word(star: RayStar, word: MoveWord) -> PLMap:
     # the ints the runner holds
     runner = _Runner(word.base, builder.unit)
     for mv in word.moves:
-        # the runner checks each move, a rearrangement once, before the
-        # builder sees it
-        replaced = runner.apply(mv)
+        # the runner checks and reads each move once, before the builder
+        # sees it: a balloon move's amount, a shuffle's replaced masses
+        read = runner.apply(mv)
         if isinstance(mv, Rearrange):
             new = {v: runner.blocks[v] for v in mv.support}
             anchor = tree.top(mv.support)
-            for edge, d in _rearrangement_moves(tree, anchor, replaced, new):
+            for edge, d in _rearrangement_moves(tree, anchor, read, new):
                 builder._shift(edge, d)
         else:
-            builder.apply_edge_move(mv)
+            builder._shift(mv.edge, read)
     if not _preserves(word, runner):
         raise ChargeUndefinedError("only measure-preserving words realize")
     return builder.to_plmap()
+
+
+def oracle_cuts(h: PLMap, count: int) -> List[Fraction]:
+    """The tail cuts the oracle reads a realized map at: one past its last
+    breakpoint, then every 7."""
+    first = h.last_breakpoint() + 1
+    return [first + 7 * k for k in range(count)]
 
 
 def charge_from_definition(star: RayStar, h: PLMap, cut) -> EndCharge:
@@ -644,5 +652,5 @@ def charge_from_definition(star: RayStar, h: PLMap, cut) -> EndCharge:
 def compare_oracle(star: RayStar, word: MoveWord, cut=None) -> bool:
     """Exact agreement of the flux charge and the set-difference charge."""
     h = realize_word(star, word)
-    T = as_frac(cut) if cut is not None else h.last_breakpoint() + 1
+    T = as_frac(cut) if cut is not None else oracle_cuts(h, 1)[0]
     return charge_from_definition(star, h, T) == charge_of_word(word)

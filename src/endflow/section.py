@@ -17,13 +17,12 @@ target there is the charge's subtree sum at that root, the same
 evaluation states of f and g across the levels and collects each word's
 moves, building the words once at the end; the public :func:`align_step`
 replays two given words and runs one level through the same core.
-Along with the states, :func:`build_section` carries the current cut's
-hanging roots and the blocks the last level added or touched, so a level
-pays for the blocks it adds and the moves it makes rather than for the
-cut it starts from; the one cost left that is O(n) per deep balloon is
-the sentinel's state copy (with the regions it sums).  The section
-yields the kernel factorization (:func:`factorize`) and the
-charge-linear retraction (:func:`retract`).
+Along with the states, :func:`build_section` carries the blocks the last
+level added or touched, so a level pays for the blocks it adds and the
+moves it makes rather than for the cut it starts from; the one cost
+left that is O(n) per deep balloon is the sentinel's state copy (with
+the regions it sums).  The section yields the kernel factorization
+(:func:`factorize`) and the charge-linear retraction (:func:`retract`).
 """
 
 from __future__ import annotations
@@ -134,20 +133,6 @@ def _cut_problems(tree: BalloonTree, cut: Region) -> list:
         p = tree.parent.get(v)
         if p is not None and p not in cut:
             out.append(f"not downward closed at {v!r}")
-    return out
-
-
-def _hanging(tree: BalloonTree, cut: Region) -> List[str]:
-    """Nodes outside the cut whose parent is inside it, in preorder (the
-    root when the cut is empty).
-
-    Outside a downward-closed cut every piece is the full subtree under
-    one of these hanging roots.
-    """
-    if not cut:
-        return [tree.root]
-    out = [c for v in cut for c in tree.child_map(v) if c not in cut]
-    out.sort(key=tree.preorder_index.__getitem__)
     return out
 
 
@@ -286,19 +271,19 @@ def _align(
     tree: BalloonTree,
     inner: Region,
     outer: Region,
-    hanging: Sequence[str],
     check: Region,
     runner: _Runner,
     target_runner: _Runner,
     below: Mapping[str, Fraction],
     out_moves: List,
-) -> Tuple[List[str], Region]:
+) -> Region:
     """Advance ``runner`` by one correction level against ``target_runner``,
     appending the correction moves to ``out_moves``.
 
     Outside a downward-closed cut every piece is the full subtree under a
-    hanging root (:func:`_hanging`), so the mass a word moves into the
-    piece is the flux on the one edge above that root.  The correction is
+    hanging root, a node outside the cut whose parent is inside it (the
+    root when the cut is empty), so the mass a word moves into the piece
+    is the flux on the one edge above that root.  The correction is
     supported outside the inner cut; afterwards the runner matches the
     target's state on the outer cut and hits the charge's transfer targets
     on every piece beyond it, read as ``below[v]`` for the piece under
@@ -311,28 +296,25 @@ def _align(
     feasibility gauge, and a final rearrangement fixes the core to the
     target state.
 
-    ``hanging`` lists the inner cut's hanging roots in preorder.  ``check``
-    holds the inner-cut blocks to compare: the whole inner cut, or, when
-    the states agreed on the previous level's inner cut, the blocks that
-    level added and the blocks its moves touched, since no other block of
-    either state has changed since.  The transfer check runs on the
-    hanging roots whose parent is in ``check`` (the root when the inner cut
-    is empty): any other hanging root hung from the previous level's inner
-    cut, passed that level's check, and no move has crossed its edge
-    since, for a move across it would have touched its parent.  Each
-    piece with a core (its share of the added blocks ``outer - inner``,
-    found through the preorder interval of its subtree) is reached from
-    the core's top, and its hanging root gives way to the core's in the
-    list.  So a level pays for the blocks it adds and the moves it makes,
-    not for the cut it starts from; the one cost left that is O(n) per
-    deep balloon is the bug sentinel's state copy (with the regions it
-    sums).  Returns the outer cut's hanging roots in preorder and the
+    ``check`` holds the inner-cut blocks to compare: the whole inner cut,
+    or, when the states agreed on the previous level's inner cut, the
+    blocks that level added and the blocks its moves touched, since no
+    other block of either state has changed since.  The transfer check
+    runs on the hanging roots whose parent is in ``check`` (the root when
+    the inner cut is empty): any other hanging root hung from the
+    previous level's inner cut, passed that level's check, and no move
+    has crossed its edge since, for a move across it would have touched
+    its parent.  Each piece with a core (its share of the added blocks
+    ``outer - inner``, found through the preorder interval of its
+    subtree) is reached from the core's top.  So a level pays for the
+    blocks it adds and the moves it makes, not for the cut it starts
+    from; the one cost left that is O(n) per deep balloon is the bug
+    sentinel's state copy (with the regions it sums).  Returns the
     outer-cut blocks the next level must compare.
 
     Precondition, checked by the callers where the cuts enter: ``inner``
     and ``outer`` are frozensets of the tree's blocks, each downward
-    closed, with ``inner <= outer``; ``hanging`` and ``check`` are as
-    above.
+    closed, with ``inner <= outer``; ``check`` is as above.
     """
     for v in check:
         if runner.blocks[v] != target_runner.blocks[v]:
@@ -367,16 +349,16 @@ def _align(
     first_move = len(out_moves)
     # pieces without a core lie beyond the outer cut: other pieces'
     # corrections stay in their own subtrees, so their transfer check holds
-    next_hanging = list(hanging)
     for h in tops:
         lo = bisect_left(positions, index[h])
         hi = bisect_left(positions, stop[h], lo)
         core = frozenset(map(nodes.__getitem__, positions[lo:hi]))
         # children of the core outside it are the outer cut's hanging
-        # roots inside this piece, and lie between h and the next root
-        deep_roots = _hanging(tree, core)
-        at = bisect_left(next_hanging, index[h], key=index.__getitem__)
-        next_hanging[at : at + 1] = deep_roots
+        # roots inside this piece: its deep balloons, settled in preorder
+        deep_roots = sorted(
+            (c for v in core for c in tree.child_map(v) if c not in core),
+            key=index.__getitem__,
+        )
         deeps = [(hb, tree.subtree(hb)) for hb in deep_roots]
         for j, (hb, B) in enumerate(deeps):
             target = below[hb] + inflow(target_runner, hb) - inflow(runner, hb)
@@ -397,7 +379,7 @@ def _align(
     touched = set()
     for mv in out_moves[first_move:]:
         touched.update(mv.support if isinstance(mv, Rearrange) else mv.edge)
-    return next_hanging, added | (touched & outer)
+    return added | (touched & outer)
 
 
 def align_step(
@@ -437,10 +419,7 @@ def align_step(
     start = runner.state()
     h_moves: List = []
     below = tree.sums_below(charge.values)
-    _align(
-        tree, inner, outer, _hanging(tree, inner), inner,
-        runner, target_runner, below, h_moves,
-    )
+    _align(tree, inner, outer, inner, runner, target_runner, below, h_moves)
     return MoveWord(tree, start, tuple(h_moves))
 
 
@@ -456,9 +435,8 @@ def build_section(
     Two words grow alternately along the exhaustion: at each level f is
     corrected against g out to the next cut, then g against f with the
     negated charge.  The evaluation states of f and g are carried from
-    level to level, so no word is replayed, and so are the cut's hanging
-    roots and the blocks the next level must compare (see
-    :func:`_align`).  Once the cuts exhaust the
+    level to level, so no word is replayed, and so are the blocks the next
+    level must compare (see :func:`_align`).  Once the cuts exhaust the
     blocks the two words agree everywhere and differ in transfer by
     exactly ``a``; the result is f followed by the inverse of g.
     """
@@ -485,15 +463,11 @@ def build_section(
     f_moves: List = []
     g_moves: List = []
     prev: Region = frozenset()
-    hanging, check = [tree.root], prev
+    check = prev
     for k in range(0, len(levels), 2):
         K, L = levels[k], levels[k + 1]
-        hanging, check = _align(
-            tree, prev, K, hanging, check, fr, gr, below, f_moves
-        )
-        hanging, check = _align(
-            tree, K, L, hanging, check, gr, fr, neg_below, g_moves
-        )
+        check = _align(tree, prev, K, check, fr, gr, below, f_moves)
+        check = _align(tree, K, L, check, gr, fr, neg_below, g_moves)
         prev = L
     f = MoveWord(tree, mu, tuple(f_moves))
     g = MoveWord(tree, mu, tuple(g_moves))

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .extmath import ExtMass, as_frac, is_inf
 from .measure import MeasureState
-from .tree import BalloonTree, Edge, frontier_edges
+from .tree import _ZERO, BalloonTree, Edge, frontier_edges
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class FluxField:
     flux: Mapping[Edge, Fraction]
 
     def __post_init__(self):
-        full = {e: Fraction(0) for e in self.tree.edges}
+        full = dict.fromkeys(self.tree.edges, _ZERO)
         for e, v in self.flux.items():
             if e not in full:
                 raise TreeMismatchError(f"flux on unknown edge {e!r}")
@@ -205,10 +205,10 @@ class _Runner:
         return r
 
     def apply(self, move: Move):
-        """Check and apply one move; a rearrangement returns the masses
-        it replaced, in the runner's units."""
+        """Check and apply one move; a balloon move returns its amount and
+        a rearrangement the masses it replaced, in the runner's units."""
         if isinstance(move, BalloonMove):
-            self._apply_balloon(move)
+            return self._apply_balloon(move)
         elif isinstance(move, Rearrange):
             return self._apply_rearrange(move)
         else:
@@ -240,6 +240,7 @@ class _Runner:
             self.blocks[c] = new_c
         self.blocks[p] = new_p
         self.flux[(p, c)] += d
+        return d
 
     def _refuse(self, kind: str, v: str, new, move: BalloonMove):
         raise NonPositiveBlockError(

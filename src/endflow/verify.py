@@ -32,6 +32,7 @@ from .raystar import (
     charge_from_definition,
     iset_mass,
     iset_subtract,
+    oracle_cuts,
     preimage_intervals,
     realize_word,
     region_intervals,
@@ -277,9 +278,7 @@ def suite_oracle_1d(rng: Random, cases: int, cuts: int = 3) -> dict:
         w = random_preserving_word(rng, tree, mu)
         h = realize_word(star, w)
         expected = charge_of_word(w)
-        base_cut = h.last_breakpoint() + 1
-        for k in range(cuts):
-            cut = base_cut + k * 7
+        for cut in oracle_cuts(h, cuts):
             got = charge_from_definition(star, h, cut)
             if got != expected:
                 failures.append(f"case {i}: cut {cut} disagrees")

@@ -7,9 +7,9 @@
   error, so a value that changes type or lands one unit off shows.
 * By call graph: cProfile records which functions each function calls,
   and the queue kernels must call nothing in ``fractions``.  A move's
-  amount is read once, in ``_PLBuilder._units``; a Fraction that creeps
-  back into the queues fails here, where a timing could not tell it from
-  noise.
+  amount is read once, by the runner that checks it, so
+  ``_PLBuilder._units`` never runs; a Fraction that creeps back into the
+  queues fails here, where a timing could not tell it from noise.
 """
 
 import cProfile
@@ -427,7 +427,6 @@ KERNELS = {
         _take_back,
         _split,
         _join,
-        _PLBuilder.apply_edge_move,
         _PLBuilder._shift,
     )
 }
@@ -451,6 +450,8 @@ def test_queue_kernels_call_no_fraction_code():
     assert set(KERNELS) <= set(stats), "a queue kernel never ran"
     # every balloon move and every step of a decomposed shuffle shifts
     assert stats[_key(_PLBuilder._shift)][1] >= len(word)
+    # the builder never reads an amount the runner has already read
+    assert _key(_PLBuilder._units) not in stats
     offenders = sorted(
         f"{KERNELS[caller]} -> {func[2]}"
         for func, (_, _, _, _, callers) in stats.items()

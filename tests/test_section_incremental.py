@@ -6,8 +6,8 @@ single move shows here.  The differential test rebuilds each section
 level by level through the public ``align_step`` (which replays both
 words from the base measure) and requires the same moves.  The last tests
 hold the section's level-to-level carry to the whole-cut computations it
-replaces: the hanging roots, the lazily drawn donors, and the agreement
-check, which must still catch a disturbed block of the inner cut.
+replaces: the lazily drawn donors, and the agreement check, which compares
+only blocks of the inner cut and must still catch a disturbed one.
 """
 
 import hashlib
@@ -24,7 +24,7 @@ from endflow.extmath import INF, is_inf
 from endflow.gen import random_state, random_tree, random_valid_charge, small_fraction
 from endflow.measure import base_state
 from endflow.raystar import RayStar
-from endflow.section import Exhaustion, _hanging, align_step, build_section
+from endflow.section import Exhaustion, align_step, build_section
 from endflow.serialize import word_to_json
 from endflow.transport import (
     BalloonMove,
@@ -178,22 +178,23 @@ def test_lazy_donor_order_matches_the_full_sort(monkeypatch):
     assert len(seen) > 100 and max(seen) > 10
 
 
-def test_carried_hanging_roots_match_the_cut(monkeypatch):
+def test_carried_check_lies_in_the_inner_cut(monkeypatch):
     real = section._align
     calls = []
 
-    def checked(tree, inner, outer, hanging, check, *rest):
-        assert hanging == _hanging(tree, inner)
+    def checked(tree, inner, outer, check, *rest):
         assert check <= inner
-        nxt, nxt_check = real(tree, inner, outer, hanging, check, *rest)
-        assert nxt == _hanging(tree, outer)
-        calls.append(len(nxt))
-        return nxt, nxt_check
+        nxt = real(tree, inner, outer, check, *rest)
+        assert nxt <= outer
+        calls.append((len(check), len(inner)))
+        return nxt
 
     monkeypatch.setattr(section, "_align", checked)
     for tree, mu, a, ex in _exhaustion_corpus():
         build_section(tree, mu, a, ex)
-    assert len(calls) > 100 and max(calls) > 4
+    assert len(calls) > 100 and max(c for c, _ in calls) > 4
+    # the carry compares fewer blocks than the whole inner cut somewhere
+    assert any(c < n for c, n in calls)
 
 
 def _touched(moves):
@@ -212,7 +213,7 @@ def test_disturbed_inner_block_is_caught(monkeypatch, which):
     last = {"added": frozenset(), "touched": set()}
     picked = []
 
-    def disturbing(tree, inner, outer, hanging, check, runner, *rest):
+    def disturbing(tree, inner, outer, check, runner, *rest):
         if not picked:
             if which == "touched":
                 pick = last["touched"] & inner
@@ -224,7 +225,7 @@ def test_disturbed_inner_block_is_caught(monkeypatch, which):
                 picked.append(v)
         out_moves = rest[-1]
         first = len(out_moves)
-        result = real(tree, inner, outer, hanging, check, runner, *rest)
+        result = real(tree, inner, outer, check, runner, *rest)
         last["added"] = outer - inner
         last["touched"] = _touched(out_moves[first:])
         return result
