@@ -48,7 +48,16 @@ EXIT_IO = 4
 
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        # bytes that are not UTF-8, nesting past the recursion limit, an
+        # integer literal past the int digit limit
+        except (UnicodeDecodeError, RecursionError, ValueError) as e:
+            raise serialize.SchemaError(
+                f"unreadable JSON in {path}: {e}"
+            ) from None
 
 
 def _emit(doc, out_path):

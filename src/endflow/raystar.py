@@ -13,12 +13,13 @@ the segments holding its amount across the edge.  The queues count exact
 integer units 1/U, with U the least common multiple of the denominators
 of the star's interval ends and of the word's base masses, amounts and
 rearranged masses; every edge move is a whole number of units, the
-replay that checks the word runs on the same unit (so a shuffle is
-decomposed on its ints), and the pieces are converted back to Fractions
-once.  A pool segment stands in for the center block; segments crossing
-between pool and rays model the mixing the center performs, treated as a
-black box (only the rays are honest 1-D geometry).  The interior distribution of a block is below
-the model's resolution, so each region is finally laid out at uniform
+replay that checks the word runs on the same unit and hands the queues
+each amount it read (a shuffle is decomposed on its ints), and the
+pieces are converted back to Fractions once.  A pool segment stands in
+for the center block; segments crossing between pool and rays model the
+mixing the center performs, treated as a black box (only the rays are
+honest 1-D geometry).  The interior distribution of a block is below the
+model's resolution, so each region is finally laid out at uniform
 density: every piece has unit slope and all rational data stay small.
 The end charge of the realized map is then recomputed from the raw
 definition - the masses of ``C - h(C)`` and ``h(C) - C`` for a tail
@@ -44,7 +45,6 @@ from .errors import (
 )
 from .extmath import INF, ExtMass, as_frac, as_mass, is_inf
 from .transport import (
-    BalloonMove,
     MoveWord,
     Rearrange,
     _preserves,
@@ -114,15 +114,8 @@ class RayStar:
     def depth(self) -> int:
         return len(self.cells[0])
 
-    def bounds(self, i: int) -> List[Fraction]:
-        """Cumulative cell boundaries B_0 = 0 .. B_D along ray i."""
-        out = [Zero]
-        for m in self.cells[i]:
-            out.append(out[-1] + m)
-        return out
-
     def ray_length(self, i: int) -> ExtMass:
-        return self.bounds(i)[-1] + self.tails[i]
+        return self.node_intervals[self.end_id(i)][2]
 
     @cached_property
     def node_intervals(self) -> Dict[str, Tuple[int, Fraction, ExtMass]]:
@@ -130,11 +123,13 @@ class RayStar:
         hi): the center first, then each ray from its first cell to its
         tail."""
         out = {self.center_id(): (self.ray_count, Zero, self.center_mass)}
-        for i in range(self.ray_count):
-            bounds = self.bounds(i)
-            for k in range(self.depth):
-                out[self.cell_id(i, k)] = (i, bounds[k], bounds[k + 1])
-            out[self.end_id(i)] = (i, bounds[-1], bounds[-1] + self.tails[i])
+        for i, ray in enumerate(self.cells):
+            lo = Zero
+            for k, m in enumerate(ray):
+                hi = lo + m
+                out[self.cell_id(i, k)] = (i, lo, hi)
+                lo = hi
+            out[self.end_id(i)] = (i, lo, lo + self.tails[i])
         return out
 
     # node ids of the associated balloon tree
@@ -475,8 +470,10 @@ class _PLBuilder:
 
     Queues hold exact ints counting units 1/U, where U is the least common
     multiple of ``unit`` and the denominators of the star's finite
-    interval ends; an edge move whose amount is not a whole number of
-    units is refused, never rounded.  ``to_plmap`` converts back to
+    interval ends.  :meth:`_shift` is the one way in: it takes a star
+    edge and an int count of units, both checked and read by the runner
+    :func:`realize_word` builds on the same unit, so the builder neither
+    checks an edge nor converts an amount.  ``to_plmap`` converts back to
     Fractions once per piece.
 
     An edge move of amount d > 0 takes the segments holding the last d of
@@ -488,7 +485,7 @@ class _PLBuilder:
     ``center_mass`` down to 0, so the same rule holds there.
     """
 
-    def __init__(self, star: RayStar, unit: int = 1):
+    def __init__(self, star: RayStar, unit: int):
         self.star = star
         self.unit = math.lcm(
             unit,
@@ -509,24 +506,6 @@ class _PLBuilder:
         }
         center = star.center_id()
         self.queues[center] = _reverse(self.queues[center])
-
-    def _units(self, move: BalloonMove) -> int:
-        """The move's amount in units, for a move given to
-        :meth:`apply_edge_move`; :func:`realize_word` shifts by the amount
-        its runner read instead."""
-        amount = move.amount
-        if self.unit % amount.denominator:
-            raise RealizationError(
-                f"edge move of {amount} across {move.edge!r} is not a "
-                f"whole number of units 1/{self.unit}"
-            )
-        return amount.numerator * (self.unit // amount.denominator)
-
-    def apply_edge_move(self, move: BalloonMove):
-        parent, child = move.edge
-        if self.star.to_tree().parent.get(child) != parent:
-            raise TreeMismatchError(f"edge {move.edge!r} is not a star edge")
-        self._shift(move.edge, self._units(move))
 
     def _shift(self, edge, d: int):
         """Move ``d`` units across a star edge by the queue rule above."""

@@ -430,29 +430,6 @@ def route(
     return [BalloonMove(e, d) for e, d in _route_edges(tree, src, dst, amount)]
 
 
-def rearrange_to_moves(
-    tree: BalloonTree,
-    state,
-    support: Iterable[str],
-    new_masses: Mapping[str, Fraction],
-) -> List[BalloonMove]:
-    """Decompose a rearrangement of ``state`` into edge moves with the same
-    flux effect.
-
-    ``state`` is a measure state or a runner; a runner is read through its
-    Fraction view (:meth:`_Runner.state`), whatever its unit.  The
-    runner's checks run first.  Surpluses are routed to the support's top
-    node, then deficits are served from there; every intermediate stop
-    receives before it sends, so positivity never breaks.
-    """
-    mv = Rearrange(support, new_masses)
-    r = _Runner(state.state() if isinstance(state, _Runner) else state)
-    replaced = r.apply(mv)
-    anchor = tree.top(mv.support)
-    steps = _rearrangement_moves(tree, anchor, replaced, mv.masses)
-    return [BalloonMove(e, d) for e, d in steps]
-
-
 def _rearrangement_moves(
     tree: BalloonTree,
     anchor: str,

@@ -467,10 +467,34 @@ def test_missing_file_is_io_error(tmp_path):
     assert main(["validate", "--tree", str(tmp_path / "nope.json")]) == 4
 
 
-def test_malformed_json_is_validation_error(tmp_path):
+def test_malformed_json_is_validation_error(tmp_path, capsys):
     p = tmp_path / "garbage.json"
     p.write_text("{not json")
     assert main(["validate", "--tree", str(p)]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: Expecting property name enclosed in double "
+        "quotes: line 1 column 2 (char 1)\n"
+    )
+
+
+UNREADABLE_JSON = {
+    "not_utf8": b'{"root": "\xff\xfe"}',
+    "nested_past_the_recursion_limit": b"[" * 100_000 + b"]" * 100_000,
+    "int_past_the_digit_limit": b'{"root": ' + b"1" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize(
+    "content", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON.keys()
+)
+def test_unreadable_json_exits_2_without_traceback(tmp_path, content):
+    p = tmp_path / "tree.json"
+    p.write_bytes(content)
+    proc = _run_cli("validate", "--tree", str(p))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"validation error: unreadable JSON in {p}: ")
+    assert proc.stdout == ""
 
 
 def test_parser_is_built_once_and_reused(files, tmp_path, capsys, monkeypatch):

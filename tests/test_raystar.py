@@ -30,7 +30,14 @@ from endflow.raystar import (
     region_intervals,
 )
 from endflow.section import build_section
-from endflow.transport import BalloonMove, MoveWord, charge_of_word, concat, empty_word
+from endflow.transport import (
+    BalloonMove,
+    MoveWord,
+    _Runner,
+    charge_of_word,
+    concat,
+    empty_word,
+)
 
 
 @pytest.fixture
@@ -113,40 +120,44 @@ def test_realize_requires_preserving(three_star):
 
 
 def test_edge_move_off_the_star_is_rejected(three_star):
-    builder = _PLBuilder(three_star)
+    # the runner realize_word shares its unit with checks every edge
+    tree = three_star.to_tree()
+    mu = base_state(tree)
     for edge in (("r0c0", "c"), ("r0c0", "r1e"), ("c", "r0e"), ("x", "y")):
+        word = MoveWord(tree, mu, (BalloonMove(edge, Fraction(1, 2)),))
         with pytest.raises(TreeMismatchError):
-            builder.apply_edge_move(BalloonMove(edge, Fraction(1, 2)))
+            realize_word(three_star, word)
 
 
 def test_edge_move_beyond_the_region_mass_is_rejected(three_star):
     # the center holds 4 and r0c0 holds 1
-    for amount in (Fraction(5), Fraction(-2)):
-        builder = _PLBuilder(three_star)
+    for amount in (5, -2):
+        builder = _PLBuilder(three_star, 1)
         with pytest.raises(ArithmeticError):
-            builder.apply_edge_move(BalloonMove(("c", "r0c0"), amount))
+            builder._shift(("c", "r0c0"), amount)
 
 
 def test_edge_move_beyond_the_region_mass_is_a_realization_error(three_star):
-    builder = _PLBuilder(three_star)
+    builder = _PLBuilder(three_star, 1)
     with pytest.raises(RealizationError, match="more mass than the region"):
-        builder.apply_edge_move(BalloonMove(("c", "r0c0"), Fraction(5)))
+        builder._shift(("c", "r0c0"), 5)
 
 
 def test_edge_move_off_the_unit_is_refused_not_rounded(three_star):
-    # every interval end of the star is an integer, so its own unit is 1
-    builder = _PLBuilder(three_star)
+    # every interval end of the star is an integer, so its own unit is 1;
+    # the runner in front of the builder refuses what that unit misses
+    mu = base_state(three_star.to_tree())
+    runner = _Runner(mu, 1)
     with pytest.raises(
-        RealizationError,
-        match=r"edge move of 1/3 across \('c', 'r0c0'\) is not a whole "
-        r"number of units 1/1$",
+        ValueError, match=r"^1/3 is not a whole number of units 1/1$"
     ):
-        builder.apply_edge_move(BalloonMove(("c", "r0c0"), Fraction(1, 3)))
-    assert builder.queues == _PLBuilder(three_star).queues
+        runner.apply(BalloonMove(("c", "r0c0"), Fraction(1, 3)))
+    assert runner.state() == mu
     # a builder on a finer unit takes the move
     builder = _PLBuilder(three_star, 6)
-    builder.apply_edge_move(BalloonMove(("c", "r0c0"), Fraction(1, 3)))
-    builder.apply_edge_move(BalloonMove(("c", "r0c0"), Fraction(-1, 3)))
+    assert builder.unit == 6
+    builder._shift(("c", "r0c0"), 2)
+    builder._shift(("c", "r0c0"), -2)
     h = builder.to_plmap()
     assert [(p.lo, p.a, p.slope) for p in h.pieces] == [(0, 0, 1)] * 4
 

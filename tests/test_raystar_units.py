@@ -1,15 +1,16 @@
 """realize_word's integer region queues, checked two ways.
 
 * Against the builder they replaced: ``_FractionBuilder`` below is that
-  builder, its queue rules run on ``Fraction`` starts and masses, fed by
-  the public ``rearrange_to_moves``.  ``realize_word`` must give the same
+  builder, its queue rules run on ``Fraction`` starts and masses, each
+  shuffle decomposed by ``_ref_rearrangement_moves``, a Fraction copy of
+  the package's decomposition order.  ``realize_word`` must give the same
   pieces, compared by the ``repr`` of every field, or fail with the same
   error, so a value that changes type or lands one unit off shows.
 * By call graph: cProfile records which functions each function calls,
   and the queue kernels must call nothing in ``fractions``.  A move's
-  amount is read once, by the runner that checks it, so
-  ``_PLBuilder._units`` never runs; a Fraction that creeps back into the
-  queues fails here, where a timing could not tell it from noise.
+  amount is read once, by the runner that checks it, and the builder
+  shifts by that int; a Fraction that creeps back into the queues fails
+  here, where a timing could not tell it from noise.
 """
 
 import cProfile
@@ -45,7 +46,6 @@ from endflow.transport import (
     Rearrange,
     _preserves,
     _Runner,
-    rearrange_to_moves,
     route,
 )
 
@@ -221,21 +221,37 @@ class _FractionBuilder:
         return PLMap(star, tuple(pieces))
 
 
+def _ref_rearrangement_moves(tree, anchor, cur, new):
+    """The edge moves taking the checked support masses ``cur`` to ``new``
+    through the support's top node ``anchor``: surpluses are routed to
+    the anchor, then deficits are served from it, nodes in preorder."""
+    order = sorted(set(cur) - {anchor}, key=tree.preorder_index.__getitem__)
+    moves = []
+    for v in order:
+        if cur[v] > new[v]:
+            moves += route(tree, v, anchor, cur[v] - new[v])
+    for v in order:
+        if new[v] > cur[v]:
+            moves += route(tree, anchor, v, new[v] - cur[v])
+    return moves
+
+
 def _fraction_realize(star: RayStar, word: MoveWord) -> PLMap:
     """realize_word on the Fraction builder, each shuffle decomposed by
-    the public ``rearrange_to_moves``."""
+    ``_ref_rearrangement_moves``."""
     tree = star.to_tree()
     if word.tree != tree:
         raise TreeMismatchError("word does not live on the star's tree")
     builder = _FractionBuilder(star)
     runner = _Runner(word.base)
     for mv in word.moves:
+        replaced = runner.apply(mv)
         edge_moves = [mv]
         if isinstance(mv, Rearrange):
-            edge_moves = rearrange_to_moves(
-                tree, runner, mv.support, mv.masses
+            anchor = tree.top(mv.support)
+            edge_moves = _ref_rearrangement_moves(
+                tree, anchor, replaced, mv.masses
             )
-        runner.apply(mv)
         for sub in edge_moves:
             builder.apply_edge_move(sub)
     if not _preserves(word, runner):
@@ -450,8 +466,6 @@ def test_queue_kernels_call_no_fraction_code():
     assert set(KERNELS) <= set(stats), "a queue kernel never ran"
     # every balloon move and every step of a decomposed shuffle shifts
     assert stats[_key(_PLBuilder._shift)][1] >= len(word)
-    # the builder never reads an amount the runner has already read
-    assert _key(_PLBuilder._units) not in stats
     offenders = sorted(
         f"{KERNELS[caller]} -> {func[2]}"
         for func, (_, _, _, _, callers) in stats.items()

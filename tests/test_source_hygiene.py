@@ -5,9 +5,13 @@
 * No module-level private function (``_name``) goes unreferenced: some
   statement of some package module other than its own definition must
   name it, bare or as an attribute.
+* No method of a module-level private class (``_Name``) goes
+  unreferenced, dunders aside: the class body is read statement by
+  statement, so a method named only by another method of its class
+  counts, and one named only by itself does not.
 
-The two scanners are checked on planted source first, so a scanner that
-stopped finding anything would fail rather than pass everything.
+The three scanners are checked on planted source first, so a scanner
+that stopped finding anything would fail rather than pass everything.
 """
 
 import ast
@@ -47,27 +51,70 @@ def unused_imports(source: str):
     return sorted(out)
 
 
-def unreferenced_private_functions(sources):
-    """``(module, name)`` of every module-level private function that no
-    statement of any module names, its own definition aside."""
-    statements = [
-        (mod, stmt, _referenced(stmt))
-        for mod, src in sources.items()
-        for stmt in ast.parse(src).body
-    ]
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _statements(sources):
+    """``(module, owner, statement, names)`` for every top-level statement
+    of every module; a private class is split into its header (owner
+    None) and its body statements (owner the class name)."""
     out = []
-    for mod, stmt, _ in statements:
+    for mod, src in sources.items():
+        for stmt in ast.parse(src).body:
+            if not (isinstance(stmt, ast.ClassDef) and _private(stmt.name)):
+                out.append((mod, None, stmt, _referenced(stmt)))
+                continue
+            header = set()
+            for node in stmt.bases + stmt.keywords + stmt.decorator_list:
+                header |= _referenced(node)
+            out.append((mod, None, stmt, header))
+            out += [(mod, stmt.name, s, _referenced(s)) for s in stmt.body]
+    return out
+
+
+def _unreferenced_defs(sources, wanted):
+    """``(module, owner, name)`` of every function definition that
+    ``wanted(owner, name)`` selects and no other statement names."""
+    statements = _statements(sources)
+    out = []
+    for mod, owner, stmt, _ in statements:
         if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         name = stmt.name
-        if not name.startswith("_") or name.startswith("__"):
+        if not wanted(owner, name):
             continue
         if not any(
             other is not stmt and name in names
-            for _, other, names in statements
+            for _, _, other, names in statements
         ):
-            out.append((mod, name))
+            out.append((mod, owner, name))
     return out
+
+
+def unreferenced_private_functions(sources):
+    """``(module, name)`` of every module-level private function that no
+    statement of any module names, its own definition aside."""
+    return [
+        (mod, name)
+        for mod, _, name in _unreferenced_defs(
+            sources, lambda owner, name: owner is None and _private(name)
+        )
+    ]
+
+
+def unreferenced_private_class_methods(sources):
+    """``(module, "Class.method")`` of every non-dunder method of a
+    module-level private class that no statement of any module names,
+    its own definition aside."""
+    def wanted(owner, name):
+        dunder = name.startswith("__") and name.endswith("__")
+        return owner is not None and not dunder
+
+    return [
+        (mod, f"{owner}.{name}")
+        for mod, owner, name in _unreferenced_defs(sources, wanted)
+    ]
 
 
 def _package_sources():
@@ -99,6 +146,38 @@ def test_scanners_find_planted_faults():
     ]
 
 
+def test_method_scanner_finds_planted_faults():
+    src = (
+        "class _Private(Base):\n"
+        "    __slots__ = ()\n"
+        "    def __init__(self):\n"
+        "        self._helper()\n"
+        "    def _helper(self):\n"
+        "        pass\n"
+        "    def called_outside(self):\n"
+        "        pass\n"
+        "    def dead(self):\n"
+        "        return self.dead()\n"
+        "    def _dead_too(self):\n"
+        "        pass\n"
+        "class Public:\n"
+        "    def unnamed(self):\n"
+        "        pass\n"
+        "def _make():\n"
+        "    return _Private()\n"
+    )
+    other = "from .a import _make\n_make().called_outside()\n"
+    sources = {"a.py": src, "b.py": other}
+    assert unreferenced_private_class_methods(sources) == [
+        ("a.py", "_Private.dead"),
+        ("a.py", "_Private._dead_too"),
+    ]
+    # a private class's header and body still name what they use
+    assert unreferenced_private_functions(sources) == []
+    header = "class _C(_base()):\n    pass\ndef _base():\n    pass\n"
+    assert unreferenced_private_functions({"a.py": header}) == []
+
+
 def test_no_unused_imports():
     found = {
         mod: names
@@ -112,4 +191,9 @@ def test_no_unused_imports():
 
 def test_no_unreferenced_private_functions():
     found = unreferenced_private_functions(_package_sources())
+    assert not found, found
+
+
+def test_no_unreferenced_private_class_methods():
+    found = unreferenced_private_class_methods(_package_sources())
     assert not found, found
