@@ -26,6 +26,7 @@ from .transport import (
     MoveWord,
     Rearrange,
     _Runner,
+    _steps,
     _word_unit,
     charge_of_word,
 )
@@ -182,12 +183,7 @@ def _push_moves(pi: TreeMorphism, word: MoveWord, skip_collapsed: bool):
     Errors raised by the runner carry the failing index in ``move_index``."""
     runner = _Runner(word.base, _word_unit(word))
     out = []
-    for i, mv in enumerate(word.moves):
-        try:
-            runner.apply(mv)
-        except Exception as e:
-            e.move_index = i
-            raise
+    for mv, _ in _steps(runner, word):
         if isinstance(mv, BalloonMove):
             p, c = mv.edge
             mp, mc = pi.node_map[p], pi.node_map[c]

@@ -47,11 +47,11 @@ from .extmath import INF, ExtMass, as_frac, as_mass, is_inf
 from .transport import (
     MoveWord,
     Rearrange,
-    _preserves,
+    _charge,
     _rearrangement_moves,
     _Runner,
+    _steps,
     _word_unit,
-    charge_of_word,
 )
 from .tree import BalloonTree
 
@@ -573,20 +573,17 @@ class _PLBuilder:
         )
 
 
-def realize_word(star: RayStar, word: MoveWord) -> PLMap:
-    """Piecewise-linear map whose block-level action and edge fluxes are
-    those of the (measure-preserving) word."""
+def _realize(star: RayStar, word: MoveWord) -> Tuple[PLMap, EndCharge]:
+    """The realized map of a measure-preserving word and its flux charge,
+    both read off one replay."""
     tree = star.to_tree()
     if word.tree != tree:
         raise TreeMismatchError("word does not live on the star's tree")
     builder = _PLBuilder(star, _word_unit(word))
-    # the runner shares the builder's unit, so a shuffle is decomposed on
-    # the ints the runner holds
+    # the runner shares the builder's unit and reads each move once before
+    # the builder sees it, so a shuffle is decomposed on the runner's ints
     runner = _Runner(word.base, builder.unit)
-    for mv in word.moves:
-        # the runner checks and reads each move once, before the builder
-        # sees it: a balloon move's amount, a shuffle's replaced masses
-        read = runner.apply(mv)
+    for mv, read in _steps(runner, word):
         if isinstance(mv, Rearrange):
             new = {v: runner.blocks[v] for v in mv.support}
             anchor = tree.top(mv.support)
@@ -594,9 +591,14 @@ def realize_word(star: RayStar, word: MoveWord) -> PLMap:
                 builder._shift(edge, d)
         else:
             builder._shift(mv.edge, read)
-    if not _preserves(word, runner):
-        raise ChargeUndefinedError("only measure-preserving words realize")
-    return builder.to_plmap()
+    charge = _charge(word, runner)
+    return builder.to_plmap(), charge
+
+
+def realize_word(star: RayStar, word: MoveWord) -> PLMap:
+    """Piecewise-linear map whose block-level action and edge fluxes are
+    those of the (measure-preserving) word."""
+    return _realize(star, word)[0]
 
 
 def oracle_cuts(h: PLMap, count: int) -> List[Fraction]:
@@ -630,6 +632,6 @@ def charge_from_definition(star: RayStar, h: PLMap, cut) -> EndCharge:
 
 def compare_oracle(star: RayStar, word: MoveWord, cut=None) -> bool:
     """Exact agreement of the flux charge and the set-difference charge."""
-    h = realize_word(star, word)
+    h, flux_charge = _realize(star, word)
     T = as_frac(cut) if cut is not None else oracle_cuts(h, 1)[0]
-    return charge_from_definition(star, h, T) == charge_of_word(word)
+    return charge_from_definition(star, h, T) == flux_charge

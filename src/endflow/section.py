@@ -404,10 +404,9 @@ def align_step(
         raise TreeMismatchError("alignment inputs live on different trees")
     if word.base != mu or target_word.base != mu:
         raise AlignPreconditionError("words must be based at the given measure")
-    # replayed on the words' units, then read out to Fractions for the
-    # level's own moves
-    runner = _replay(word).fractions()
-    target_runner = _replay(target_word).fractions()
+    # Fraction runners: the level's moves need not be whole units of a word
+    runner = _replay(word, _Runner(mu))
+    target_runner = _replay(target_word, _Runner(mu))
     inner = check_region(tree, inner)
     outer = check_region(tree, outer)
     for name, cut in (("inner", inner), ("outer", outer)):

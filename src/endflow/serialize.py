@@ -58,6 +58,8 @@ def tree_from_json(doc: dict) -> BalloonTree:
     closed = set()
     for entry in nodes:
         vid = _need(entry, "id", str, "tree node")
+        if vid in children:
+            raise SchemaError(f"tree node {vid!r}: repeated id")
         kids = entry.get("children", [])
         if not isinstance(kids, list) or not all(isinstance(c, str) for c in kids):
             raise SchemaError(f"tree node {vid!r}: bad children list")

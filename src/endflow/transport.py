@@ -18,11 +18,12 @@ mass changes (:meth:`BalloonTree.sums_below`), the same Kirchhoff sum
 that forces the flux of a charge.  Two words are considered equal
 extensionally: same final state and same flux field.
 
-Every replay of a given word runs on exact integers: :func:`_word_unit`
-gives the least common multiple U of the denominators the word holds, and
-the replaying runner counts masses and fluxes in units of 1/U, making a
-``Fraction`` only for what it hands back.  Runners whose moves are not
-known before they run keep ``Fraction`` values (see :class:`_Runner`).
+A given word is walked one way, :func:`_steps`, which names a failing
+move by its index.  Its replays run on exact integers: :func:`_word_unit`
+gives the lcm U of the denominators the word holds, and the runner counts
+masses and fluxes in units of 1/U, making a ``Fraction`` only for what it
+hands back; runners whose moves are not known before they run keep
+``Fraction`` values (see :class:`_Runner`).
 """
 
 from __future__ import annotations
@@ -136,8 +137,8 @@ class _Runner:
     the way out (:meth:`_out`): the state, the flux field, the node masses
     and error texts.  A runner without a unit keeps Fractions; that is
     what runners whose amounts are not known before they run use (the
-    section's two runners, random words, :func:`apply_move`).  The checks
-    are the same either way.
+    section's runners and ``align_step``'s replays, random words,
+    :func:`apply_move`).  :func:`_steps` walks a word on either kind.
     """
 
     __slots__ = ("tree", "unit", "blocks", "tails", "flux")
@@ -196,13 +197,6 @@ class _Runner:
 
     def flux_field(self) -> FluxField:
         return FluxField(self.tree, self._out_all(self.flux))
-
-    def fractions(self) -> "_Runner":
-        """A runner without a unit at this runner's state and flux, to go
-        on with moves whose amounts the unit may not cover."""
-        r = _Runner(self.state())
-        r.flux = self._out_all(self.flux)
-        return r
 
     def apply(self, move: Move):
         """Check and apply one move; a balloon move returns its amount and
@@ -319,19 +313,27 @@ def apply_move(
     return r.state(), r.flux_field()
 
 
-def _replay(word: MoveWord) -> _Runner:
-    """A runner on the word's unit left at its final state and flux.
-
-    Errors raised by a move carry the failing index in ``move_index``.
-    """
-    r = _Runner(word.base, _word_unit(word))
-    for i, m in enumerate(word.moves):
+def _steps(runner: _Runner, word: MoveWord):
+    """Apply the word's moves to the runner in order, yielding each move
+    with what :meth:`_Runner.apply` read for it.  This is the one walk of
+    a given word: an error raised by a move carries its index in
+    ``move_index``."""
+    for i, move in enumerate(word.moves):
         try:
-            r.apply(m)
+            read = runner.apply(move)
         except Exception as e:
             e.move_index = i
             raise
-    return r
+        yield move, read
+
+
+def _replay(word: MoveWord, runner: Optional[_Runner] = None) -> _Runner:
+    """The runner (by default new, on the word's unit) at the word's end."""
+    if runner is None:
+        runner = _Runner(word.base, _word_unit(word))
+    for _ in _steps(runner, word):
+        pass
+    return runner
 
 
 def apply_word(word: MoveWord) -> Tuple[MeasureState, FluxField]:
@@ -359,9 +361,8 @@ def is_measure_preserving(word: MoveWord) -> bool:
     return _preserves(word, _replay(word))
 
 
-def charge_of_word(word: MoveWord) -> EndCharge:
-    """End charge of a measure-preserving word: its leaf-edge fluxes."""
-    r = _replay(word)
+def _charge(word: MoveWord, r: _Runner) -> EndCharge:
+    """The word's end charge read off the runner left at its end."""
     if not _preserves(word, r):
         raise ChargeUndefinedError(
             "word does not preserve its base measure; charge undefined"
@@ -370,6 +371,11 @@ def charge_of_word(word: MoveWord) -> EndCharge:
     return EndCharge(
         t, {v: r._out(r.flux[t.leaf_edge(v)]) for v in t.end_leaves}
     )
+
+
+def charge_of_word(word: MoveWord) -> EndCharge:
+    """End charge of a measure-preserving word: its leaf-edge fluxes."""
+    return _charge(word, _replay(word))
 
 
 def concat(w1: MoveWord, w2: MoveWord) -> MoveWord:
@@ -385,8 +391,7 @@ def invert_word(word: MoveWord) -> MoveWord:
     to the base with zero flux."""
     r = _Runner(word.base, _word_unit(word))
     inv: List[Move] = []
-    for m in word.moves:
-        replaced = r.apply(m)
+    for m, replaced in _steps(r, word):
         if isinstance(m, Rearrange):
             inv.append(Rearrange(m.support, r._out_all(replaced)))
         else:

@@ -172,6 +172,16 @@ def invalid_files(files, star_tree):
             BalloonMove(("c", "r1c0"), Fraction(2)),
         ))
     )
+    # move 0 sends half a unit into an end, and nothing brings it back
+    star_unbalanced = serialize.word_to_json(
+        MoveWord(ray_tree, base_state(ray_tree), (
+            BalloonMove(("c", "r0c0"), Fraction(1, 2)),
+        ))
+    )
+    # node 'u' listed twice, with different weights
+    repeated_id = serialize.tree_to_json(star_tree)
+    [u_entry] = [n for n in repeated_id["nodes"] if n["id"] == "u"]
+    repeated_id["nodes"].append(dict(u_entry, weight="5"))
     overdraw = json.loads(json.dumps(word))
     overdraw["moves"].insert(
         1, {"balloon": {"edge": ["u", "l1"], "amount": "5"}}
@@ -201,6 +211,8 @@ def invalid_files(files, star_tree):
         "foreign_node": foreign_node,
         "overdraw": overdraw,
         "star_overdraw": star_overdraw,
+        "star_unbalanced": star_unbalanced,
+        "repeated_id_tree": repeated_id,
     }
     paths = {k: v for k, v in files.items() if k != "dir"}
     for name, doc in docs.items():
@@ -257,6 +269,10 @@ INVALID_INPUTS = {
     "oracle_overdrawn_center": [
         "oracle", "--star", "{star}", "--word", "{star_overdraw}"
     ],
+    "oracle_unbalanced_word": [
+        "oracle", "--star", "{star}", "--word", "{star_unbalanced}"
+    ],
+    "validate_repeated_node_id": ["validate", "--tree", "{repeated_id_tree}"],
     "oracle_star_missing_weight": [
         "oracle", "--star", "{no_weight_star}", "--word", "{empty_word}"
     ],
@@ -284,6 +300,11 @@ LOAD_FAULTS = {
         "validation error: word move 1: block 'c' would drop to -1 "
         "moving 2 across ('c', 'r1c0')"
     ),
+    "oracle_unbalanced_word": (
+        "validation error: word does not preserve its base measure; "
+        "charge undefined"
+    ),
+    "validate_repeated_node_id": "validation error: tree node 'u': repeated id",
     "oracle_star_missing_weight": "validation error: star: block 'r0c0' has no weight",
     "oracle_bool_depth": "validation error: star header: key 'depth' has the wrong type",
     "validate_star_missing_weight": "validation error: star: block 'r0c0' has no weight",
@@ -329,7 +350,7 @@ def test_realization_error_exits_3(tmp_path, capsys, monkeypatch):
     def broken(star, word):
         raise RealizationError("realized map is not a bijection")
 
-    monkeypatch.setattr(cli, "realize_word", broken)
+    monkeypatch.setattr(cli, "_realize", broken)
     star = random_star(Random(81))
     star_p = tmp_path / "star.json"
     word_p = tmp_path / "word.json"

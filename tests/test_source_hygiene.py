@@ -9,8 +9,11 @@
   unreferenced, dunders aside: the class body is read statement by
   statement, so a method named only by another method of its class
   counts, and one named only by itself does not.
+* A failing move's index is set on its error in one place:
+  ``transport._steps``, the one walk of a word, is the only statement
+  that assigns a ``move_index`` attribute.
 
-The three scanners are checked on planted source first, so a scanner
+The four scanners are checked on planted source first, so a scanner
 that stopped finding anything would fail rather than pass everything.
 """
 
@@ -117,6 +120,45 @@ def unreferenced_private_class_methods(sources):
     ]
 
 
+def _sets_move_index(node) -> bool:
+    """The statement assigns a ``move_index`` attribute, directly or
+    through ``setattr``."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    elif isinstance(node, ast.Call):
+        return (
+            isinstance(node.func, ast.Name)
+            and node.func.id == "setattr"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value == "move_index"
+        )
+    else:
+        return False
+    return any(
+        isinstance(n, ast.Attribute) and n.attr == "move_index"
+        for target in targets
+        for n in ast.walk(target)
+    )
+
+
+def move_index_setters(sources):
+    """``(module, top-level name, line)`` of every statement that assigns
+    a ``move_index`` attribute, in source order."""
+    out = []
+    for mod, src in sources.items():
+        for stmt in ast.parse(src).body:
+            owner = getattr(stmt, "name", None)
+            out += [
+                (mod, owner, node.lineno)
+                for node in ast.walk(stmt)
+                if _sets_move_index(node)
+            ]
+    return sorted(out, key=lambda found: (found[0], found[2]))
+
+
 def _package_sources():
     return {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
 
@@ -176,6 +218,38 @@ def test_method_scanner_finds_planted_faults():
     assert unreferenced_private_functions(sources) == []
     header = "class _C(_base()):\n    pass\ndef _base():\n    pass\n"
     assert unreferenced_private_functions({"a.py": header}) == []
+
+
+def test_move_index_scanner_finds_planted_setters():
+    src = (
+        "def walk(e, i):\n"
+        "    e.move_index = i\n"
+        "    read = e.move_index\n"
+        "    move_index = read\n"
+        "    return move_index\n"
+        "class Runner:\n"
+        "    def step(self, e):\n"
+        "        setattr(e, 'move_index', 0)\n"
+        "        e.move_index += 1\n"
+        "        (e.move_index, x) = (2, 3)\n"
+        "        setattr(e, 'other', 0)\n"
+        "def typed(e):\n"
+        "    e.move_index: int = 4\n"
+    )
+    assert move_index_setters({"a.py": src}) == [
+        ("a.py", "walk", 2),
+        ("a.py", "Runner", 8),
+        ("a.py", "Runner", 9),
+        ("a.py", "Runner", 10),
+        ("a.py", "typed", 13),
+    ]
+
+
+def test_move_index_is_set_in_one_place():
+    found = move_index_setters(_package_sources())
+    assert [(mod, owner) for mod, owner, _ in found] == [
+        ("transport.py", "_steps")
+    ], found
 
 
 def test_no_unused_imports():

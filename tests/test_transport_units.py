@@ -215,8 +215,12 @@ def _ref_charge_of_word(word):
 def _ref_invert_word(word):
     r = _FractionRunner(word.base)
     inv = []
-    for m in word.moves:
-        replaced = r.apply(m)
+    for i, m in enumerate(word.moves):
+        try:
+            replaced = r.apply(m)
+        except Exception as e:
+            e.move_index = i
+            raise
         if isinstance(m, Rearrange):
             inv.append(Rearrange(m.support, replaced))
         else:
@@ -293,8 +297,12 @@ def _ref_realize_word(star, word):
         builder._shift(move.edge, units.numerator)
 
     runner = _FractionRunner(word.base)
-    for mv in word.moves:
-        replaced = runner.apply(mv)
+    for i, mv in enumerate(word.moves):
+        try:
+            replaced = runner.apply(mv)
+        except Exception as e:
+            e.move_index = i
+            raise
         if isinstance(mv, Rearrange):
             anchor = tree.top(mv.support)
             for sub in _ref_rearrangement_moves(
@@ -304,7 +312,9 @@ def _ref_realize_word(star, word):
         else:
             shift(mv)
     if not _ref_preserves(word, runner):
-        raise ChargeUndefinedError("only measure-preserving words realize")
+        raise ChargeUndefinedError(
+            "word does not preserve its base measure; charge undefined"
+        )
     return builder.to_plmap()
 
 
