@@ -124,8 +124,9 @@ def parse_frac(s: str) -> Fraction:
     return Fraction(int(p), int(q) if q else 1)
 
 
-def parse_mass(s: str) -> ExtMass:
-    """Parse 'p/q', 'p' or the token 'inf'."""
+def parse_mass(s: str, frac=parse_frac) -> ExtMass:
+    """Parse 'p/q', 'p' or the token 'inf'; ``frac`` reads all but the
+    token."""
     if isinstance(s, str) and s.strip() == "inf":
         return INF
-    return parse_frac(s)
+    return frac(s)

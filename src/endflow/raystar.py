@@ -173,7 +173,13 @@ class RayStar:
 
     @classmethod
     def from_tree(cls, tree: BalloonTree, rays: int, depth: int) -> "RayStar":
-        """Rebuild a star from a tree with the canonical chain shape."""
+        """Rebuild a star from a tree with the canonical chain shape.
+
+        When ``tree`` already is the star's canonical tree - ids ``c``,
+        ``r{i}c{k}`` and ``r{i}e`` in the order :meth:`to_tree` lists
+        them, no Closed leaf and no other node - it is kept as the star's
+        :meth:`to_tree`; any other accepted tree, a relabeled one say,
+        leaves the canonical tree to be built on first use."""
         def weight(v):
             if v not in tree.weights:
                 raise ValueError(f"block {v!r} has no weight")
@@ -185,6 +191,9 @@ class RayStar:
             raise ValueError("root degree does not match the ray count")
         cells = []
         tails = []
+        # the nodes the walk visits, in the order the canonical tree lists them
+        blocks = [root]
+        ends = []
         for i, first in enumerate(kids):
             ray = []
             v = first
@@ -192,6 +201,7 @@ class RayStar:
                 if tree.is_end_leaf(v):
                     raise ValueError(f"ray {i} shorter than the depth")
                 ray.append(weight(v))
+                blocks.append(v)
                 nxt = tree.child_map(v)
                 if len(nxt) != 1:
                     raise ValueError(f"ray {i} is not a chain")
@@ -200,7 +210,22 @@ class RayStar:
                 raise ValueError(f"ray {i} does not end in an End leaf")
             cells.append(tuple(ray))
             tails.append(tree.tails[v])
-        return cls(weight(root), tuple(cells), tuple(tails))
+            ends.append(v)
+        star = cls(weight(root), tuple(cells), tuple(tails))
+        block_ids = [star.center_id()] + [
+            star.cell_id(i, k) for i in range(rays) for k in range(depth)
+        ]
+        end_ids = [star.end_id(i) for i in range(rays)]
+        if (
+            not tree.closed
+            and blocks == block_ids == list(tree.children) == list(tree.weights)
+            and ends == end_ids == list(tree.tails)
+        ):
+            # the canonical tree, equal to the one ``_tree`` would build
+            # and with the same key order; a cached property is stored in
+            # the instance dict, which a frozen dataclass leaves writable
+            vars(star)["_tree"] = tree
+        return star
 
 
 @dataclass(frozen=True)

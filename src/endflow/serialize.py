@@ -7,6 +7,8 @@ documents; semantic validation stays with the domain types.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .charge import EndCharge
 from .errors import NonPositiveMassError
 from .extmath import frac_str, mass_str, parse_frac, parse_mass
@@ -21,16 +23,43 @@ class SchemaError(ValueError):
     """Document does not match the expected JSON shape."""
 
 
-def _need(obj, key, kind, where):
+def _need(obj, key, kind, where, move=None):
+    """``obj[key]``, checked to be a ``kind``.  An error names ``where``,
+    followed by ``move`` for a word's move; the label is formatted only
+    when there is an error to raise."""
     if not isinstance(obj, dict) or key not in obj:
-        raise SchemaError(f"{where}: missing key {key!r}")
+        raise SchemaError(f"{_label(where, move)}: missing key {key!r}")
     val = obj[key]
     # JSON true and false load as bool, a subclass of int, yet are no counts
     if kind is not None and (
         not isinstance(val, kind) or isinstance(val, bool) and kind is int
     ):
-        raise SchemaError(f"{where}: key {key!r} has the wrong type")
+        raise SchemaError(
+            f"{_label(where, move)}: key {key!r} has the wrong type"
+        )
     return val
+
+
+def _label(where, move):
+    return where if move is None else f"{where} {move}"
+
+
+def _rationals():
+    """``(frac, mass)``, the parsers of one document: each distinct string
+    is parsed once.
+
+    Only successes are kept, so a bad string still raises where it first
+    appears; a value that is no string goes straight to
+    :func:`parse_frac`, which refuses it with a ``ValueError``."""
+    seen = {}
+
+    def frac(s):
+        x = seen.get(s) if isinstance(s, str) else None
+        if x is None:
+            x = seen[s] = parse_frac(s)
+        return x
+
+    return frac, partial(parse_mass, frac=frac)
 
 
 # -- trees --------------------------------------------------------------------
@@ -52,6 +81,7 @@ def tree_to_json(t: BalloonTree) -> dict:
 def tree_from_json(doc: dict) -> BalloonTree:
     root = _need(doc, "root", str, "tree")
     nodes = _need(doc, "nodes", list, "tree")
+    frac, mass = _rationals()
     children = {}
     weights = {}
     tails = {}
@@ -70,7 +100,7 @@ def tree_from_json(doc: dict) -> BalloonTree:
         kind = leaf.get("kind") if leaf else None
         if kind == "end":
             try:
-                tails[vid] = parse_mass(_need(leaf, "tail", str, "end leaf"))
+                tails[vid] = mass(_need(leaf, "tail", str, "end leaf"))
             except ValueError as e:
                 raise SchemaError(f"tree node {vid!r}: {e}") from None
             # a weight on an End leaf carries no block; ignored if present
@@ -79,7 +109,7 @@ def tree_from_json(doc: dict) -> BalloonTree:
                 closed.add(vid)
             if "weight" in entry:
                 try:
-                    weights[vid] = parse_frac(entry["weight"])
+                    weights[vid] = frac(entry["weight"])
                 except ValueError as e:
                     raise SchemaError(f"tree node {vid!r}: {e}") from None
         else:
@@ -106,11 +136,12 @@ def state_to_json(mu: MeasureState) -> dict:
 def state_from_json(tree: BalloonTree, doc: dict) -> MeasureState:
     blocks = _need(doc, "blocks", dict, "measure")
     tails = _need(doc, "tails", dict, "measure")
+    frac, mass = _rationals()
     try:
         return MeasureState(
             tree,
-            {v: parse_frac(m) for v, m in blocks.items()},
-            {v: parse_mass(m) for v, m in tails.items()},
+            {v: frac(m) for v, m in blocks.items()},
+            {v: mass(m) for v, m in tails.items()},
         )
     except ValueError as e:
         raise SchemaError(f"measure: {e}") from None
@@ -129,8 +160,9 @@ def charge_from_json(tree: BalloonTree, doc: dict) -> EndCharge:
     values = doc.get("values", doc)
     if not isinstance(values, dict):
         raise SchemaError("charge: expected a values mapping")
+    frac, _ = _rationals()
     try:
-        return EndCharge(tree, {v: parse_frac(x) for v, x in values.items()})
+        return EndCharge(tree, {v: frac(x) for v, x in values.items()})
     except ValueError as e:
         raise SchemaError(f"charge: {e}") from None
 
@@ -165,31 +197,34 @@ def word_to_json(w: MoveWord) -> dict:
 
 
 def word_from_json(tree: BalloonTree, base: MeasureState, doc: dict) -> MoveWord:
+    frac, _ = _rationals()
     moves = []
     for i, entry in enumerate(_need(doc, "moves", list, "word")):
         if not isinstance(entry, dict):
             raise SchemaError(f"word move {i}: not an object")
         if "balloon" in entry:
             b = entry["balloon"]
-            edge = _need(b, "edge", list, f"word move {i}")
-            if len(edge) != 2 or not all(isinstance(v, str) for v in edge):
+            edge = _need(b, "edge", list, "word move", i)
+            if len(edge) != 2 or not (
+                isinstance(edge[0], str) and isinstance(edge[1], str)
+            ):
                 raise SchemaError(f"word move {i}: edge needs two node ids")
             try:
-                amount = parse_frac(_need(b, "amount", str, f"word move {i}"))
+                amount = frac(_need(b, "amount", str, "word move", i))
             except ValueError as e:
                 raise SchemaError(f"word move {i}: {e}") from None
             moves.append(BalloonMove((edge[0], edge[1]), amount))
         elif "rearrange" in entry:
             r = entry["rearrange"]
-            support = _need(r, "support", list, f"word move {i}")
+            support = _need(r, "support", list, "word move", i)
             if not all(isinstance(v, str) for v in support):
                 raise SchemaError(f"word move {i}: support needs node ids")
-            masses = _need(r, "masses", dict, f"word move {i}")
+            masses = _need(r, "masses", dict, "word move", i)
             try:
                 moves.append(
                     Rearrange(
                         frozenset(support),
-                        {v: parse_frac(m) for v, m in masses.items()},
+                        {v: frac(m) for v, m in masses.items()},
                     )
                 )
             except ValueError as e:

@@ -54,8 +54,14 @@ class BalloonMove:
     amount: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "edge", (self.edge[0], self.edge[1]))
-        object.__setattr__(self, "amount", as_frac(self.amount))
+        # a 2-tuple and a Fraction, the common case, are kept as handed in
+        edge = self.edge
+        if not isinstance(edge, (tuple, list)) or len(edge) != 2:
+            raise ValueError(f"balloon move edge {edge!r}: need two node ids")
+        if type(edge) is not tuple:
+            object.__setattr__(self, "edge", tuple(edge))
+        if not isinstance(self.amount, Fraction):
+            object.__setattr__(self, "amount", as_frac(self.amount))
 
 
 @dataclass(frozen=True)

@@ -219,6 +219,10 @@ def invalid_files(files, star_tree):
         p = files["dir"] / f"{name}.json"
         p.write_text(json.dumps(doc))
         paths[name] = str(p)
+    # a dict cannot hold a repeated key, so this one is written as text
+    p = files["dir"] / "repeated_key_charge.json"
+    p.write_text('{"values": {"l1": "3", "l1": "0", "l3": "0"}}')
+    paths["repeated_key_charge"] = str(p)
     return paths
 
 
@@ -273,6 +277,9 @@ INVALID_INPUTS = {
         "oracle", "--star", "{star}", "--word", "{star_unbalanced}"
     ],
     "validate_repeated_node_id": ["validate", "--tree", "{repeated_id_tree}"],
+    "validate_repeated_charge_key": [
+        "validate", "--tree", "{tree}", "--charge", "{repeated_key_charge}"
+    ],
     "oracle_star_missing_weight": [
         "oracle", "--star", "{no_weight_star}", "--word", "{empty_word}"
     ],
@@ -305,6 +312,7 @@ LOAD_FAULTS = {
         "charge undefined"
     ),
     "validate_repeated_node_id": "validation error: tree node 'u': repeated id",
+    "validate_repeated_charge_key": "validation error: repeated JSON key 'l1'",
     "oracle_star_missing_weight": "validation error: star: block 'r0c0' has no weight",
     "oracle_bool_depth": "validation error: star header: key 'depth' has the wrong type",
     "validate_star_missing_weight": "validation error: star: block 'r0c0' has no weight",

@@ -12,8 +12,12 @@
 * A failing move's index is set on its error in one place:
   ``transport._steps``, the one walk of a word, is the only statement
   that assigns a ``move_index`` attribute.
+* ``serialize._need`` labels stay lazy: no call passes it a label that
+  the call itself formats (an f-string, ``%`` or ``str.format``), which
+  would be built for every key read, error or not; a move's index goes
+  in as its own argument.
 
-The four scanners are checked on planted source first, so a scanner
+The five scanners are checked on planted source first, so a scanner
 that stopped finding anything would fail rather than pass everything.
 """
 
@@ -159,6 +163,45 @@ def move_index_setters(sources):
     return sorted(out, key=lambda found: (found[0], found[2]))
 
 
+def _formats_a_string(node) -> bool:
+    """The expression builds a string by formatting: an f-string, ``%``
+    on a string literal or a ``.format`` call."""
+    return any(
+        isinstance(n, ast.JoinedStr)
+        or isinstance(n, ast.BinOp)
+        and isinstance(n.op, ast.Mod)
+        and isinstance(n.left, ast.Constant)
+        and isinstance(n.left.value, str)
+        or isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "format"
+        for n in ast.walk(node)
+    )
+
+
+def eager_need_labels(sources):
+    """``(module, line)`` of every call to ``_need``, bare or as an
+    attribute, whose label (the fourth argument, or ``where=``) the call
+    formats."""
+    out = []
+    for mod, src in sources.items():
+        for node in ast.walk(ast.parse(src)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None
+            )
+            if name != "_need":
+                continue
+            labels = node.args[3:4] + [
+                k.value for k in node.keywords if k.arg == "where"
+            ]
+            if any(_formats_a_string(label) for label in labels):
+                out.append((mod, node.lineno))
+    return sorted(out)
+
+
 def _package_sources():
     return {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
 
@@ -243,6 +286,31 @@ def test_move_index_scanner_finds_planted_setters():
         ("a.py", "Runner", 10),
         ("a.py", "typed", 13),
     ]
+
+
+def test_need_label_scanner_finds_planted_formatting():
+    src = (
+        "def load(doc, i):\n"
+        "    _need(doc, 'a', str, 'word move', i)\n"
+        "    _need(doc, 'b', str, f'word move {i}')\n"
+        "    serialize._need(doc, 'c', str, where=f'move {i}')\n"
+        "    _need(doc, 'd', str, 'move %d' % i)\n"
+        "    _need(doc, 'e', str, 'move {}'.format(i))\n"
+        "    _need(doc, 'f', str, label)\n"
+        "    other(doc, 'g', str, f'move {i}')\n"
+        "    _need(doc, f'{i}', str, 'tree')\n"
+    )
+    assert eager_need_labels({"a.py": src}) == [
+        ("a.py", 3),
+        ("a.py", 4),
+        ("a.py", 5),
+        ("a.py", 6),
+    ]
+
+
+def test_need_labels_are_formatted_only_on_error():
+    found = eager_need_labels(_package_sources())
+    assert not found, found
 
 
 def test_move_index_is_set_in_one_place():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from random import Random
 
@@ -53,6 +54,19 @@ def test_single_balloon_move(star_tree):
     state, flux = apply_move(mu, zero, BalloonMove(("r", "u"), Fraction(3)))
     assert state.blocks["r"] == 1 and state.blocks["u"] == 5
     assert flux[("r", "u")] == 3
+
+
+@pytest.mark.parametrize("edge", ["ab", ("a", "b", "c"), ("a",), None])
+def test_balloon_move_refuses_a_malformed_edge(edge):
+    with pytest.raises(ValueError, match=f"edge {re.escape(repr(edge))}"):
+        BalloonMove(edge, Fraction(1))
+
+
+def test_balloon_move_reads_a_list_edge_and_an_int_amount():
+    mv = BalloonMove(["a", "b"], 2)
+    assert type(mv.edge) is tuple and mv.edge == ("a", "b")
+    assert type(mv.amount) is Fraction and mv.amount == 2
+    assert mv == BalloonMove(("a", "b"), Fraction(2))
 
 
 def test_noop_rearrange(star_tree):
