@@ -133,13 +133,16 @@ class RayStar:
         return out
 
     # node ids of the associated balloon tree
-    def center_id(self) -> str:
+    @staticmethod
+    def center_id() -> str:
         return "c"
 
-    def cell_id(self, i: int, k: int) -> str:
+    @staticmethod
+    def cell_id(i: int, k: int) -> str:
         return f"r{i}c{k}"
 
-    def end_id(self, i: int) -> str:
+    @staticmethod
+    def end_id(i: int) -> str:
         return f"r{i}e"
 
     def to_tree(self) -> BalloonTree:
@@ -147,84 +150,69 @@ class RayStar:
 
     @cached_property
     def _tree(self) -> BalloonTree:
-        children = {
-            self.center_id(): tuple(
-                self.cell_id(i, 0) for i in range(self.ray_count)
-            )
-        }
-        weights = {self.center_id(): self.center_mass}
+        return BalloonTree(*self._parts())
+
+    def _parts(self):
+        """The canonical tree's root, children, weights and tails: the
+        center's children are the rays' first cells, each cell's one child
+        is the next cell or its ray's End leaf, and no leaf is Closed."""
+        c = self.center_id()
+        children = {c: tuple(self.cell_id(i, 0) for i in range(self.ray_count))}
+        weights = {c: self.center_mass}
         tails = {}
-        for i in range(self.ray_count):
-            for k in range(self.depth):
-                nxt = (
-                    self.cell_id(i, k + 1)
-                    if k + 1 < self.depth
-                    else self.end_id(i)
-                )
-                children[self.cell_id(i, k)] = (nxt,)
-                weights[self.cell_id(i, k)] = self.cells[i][k]
-            tails[self.end_id(i)] = self.tails[i]
-        return BalloonTree(
-            root=self.center_id(),
-            children=children,
-            weights=weights,
-            tails=tails,
-        )
+        for i, ray in enumerate(self.cells):
+            ids = [self.cell_id(i, k) for k in range(self.depth)]
+            ids.append(self.end_id(i))
+            children.update(zip(ids, zip(ids[1:])))  # each cell: (next,)
+            weights.update(zip(ids, ray))
+            tails[ids[-1]] = self.tails[i]
+        return c, children, weights, tails
 
     @classmethod
     def from_tree(cls, tree: BalloonTree, rays: int, depth: int) -> "RayStar":
-        """Rebuild a star from a tree with the canonical chain shape.
+        """The star whose canonical tree is ``tree``, kept as its
+        :meth:`to_tree`.  The masses are read at the ids ``c``, ``r{i}c{k}``
+        and ``r{i}e``, and the tree must equal, part by part, the one
+        :meth:`to_tree` would build; the same nodes listed in another order
+        are equal.  Any other tree is refused with a ``ValueError`` naming
+        the first node where it differs."""
 
-        When ``tree`` already is the star's canonical tree - ids ``c``,
-        ``r{i}c{k}`` and ``r{i}e`` in the order :meth:`to_tree` lists
-        them, no Closed leaf and no other node - it is kept as the star's
-        :meth:`to_tree`; any other accepted tree, a relabeled one say,
-        leaves the canonical tree to be built on first use."""
         def weight(v):
             if v not in tree.weights:
                 raise ValueError(f"block {v!r} has no weight")
             return tree.weights[v]
 
-        root = tree.root
-        kids = tree.child_map(root)
-        if len(kids) != rays:
-            raise ValueError("root degree does not match the ray count")
-        cells = []
-        tails = []
-        # the nodes the walk visits, in the order the canonical tree lists them
-        blocks = [root]
-        ends = []
-        for i, first in enumerate(kids):
-            ray = []
-            v = first
-            for k in range(depth):
-                if tree.is_end_leaf(v):
-                    raise ValueError(f"ray {i} shorter than the depth")
-                ray.append(weight(v))
-                blocks.append(v)
-                nxt = tree.child_map(v)
-                if len(nxt) != 1:
-                    raise ValueError(f"ray {i} is not a chain")
-                v = nxt[0]
-            if not tree.is_end_leaf(v):
-                raise ValueError(f"ray {i} does not end in an End leaf")
-            cells.append(tuple(ray))
-            tails.append(tree.tails[v])
-            ends.append(v)
-        star = cls(weight(root), tuple(cells), tuple(tails))
-        block_ids = [star.center_id()] + [
-            star.cell_id(i, k) for i in range(rays) for k in range(depth)
-        ]
-        end_ids = [star.end_id(i) for i in range(rays)]
-        if (
-            not tree.closed
-            and blocks == block_ids == list(tree.children) == list(tree.weights)
-            and ends == end_ids == list(tree.tails)
-        ):
-            # the canonical tree, equal to the one ``_tree`` would build
-            # and with the same key order; a cached property is stored in
-            # the instance dict, which a frozen dataclass leaves writable
-            vars(star)["_tree"] = tree
+        def tail(v):
+            if v not in tree.tails:
+                raise ValueError(f"end {v!r} has no tail")
+            return tree.tails[v]
+
+        # ray by ray, so a header larger than the tree fails at its first
+        # missing id
+        cells, ends = [], []
+        for i in range(rays):
+            cells.append(tuple(weight(cls.cell_id(i, k)) for k in range(depth)))
+            ends.append(tail(cls.end_id(i)))
+        star = cls(weight(cls.center_id()), tuple(cells), tuple(ends))
+        root, *parts = star._parts()
+        if tree.root != root:
+            raise ValueError(f"the root is {tree.root!r}, not {root!r}")
+        given = (tree.children, tree.weights, tree.tails)
+        for name, got, want in zip(("children", "weight", "tail"), given, parts):
+            if got != want:
+                v = next(v for v in (*got, *want) if got.get(v) != want.get(v))
+                raise ValueError(
+                    f"node {v!r} has {name} {got.get(v, 'none')}; "
+                    f"the canonical tree has {want.get(v, 'none')}"
+                )
+        if tree.closed:
+            raise ValueError(
+                f"node {min(tree.closed)!r} is a Closed leaf; "
+                "the canonical tree has none"
+            )
+        # a cached property is stored in the instance dict, which a frozen
+        # dataclass leaves writable
+        vars(star)["_tree"] = tree
         return star
 
 

@@ -2,7 +2,11 @@
 
 Rationals are strings "p/q" (reduced; plain "p" when integral) and "inf"
 is the only infinity token.  Loaders raise SchemaError on malformed
-documents; semantic validation stays with the domain types.
+documents; semantic validation stays with the domain types.  A tree node
+entry needs children, a weight or a leaf tag.  A star document must be
+the star's canonical tree: a relabeled tree, swapped rays or cells, an
+unfitting header, a shared end, an end with a child, a stray node or a
+Closed leaf is a SchemaError naming the first node where it differs.
 """
 
 from __future__ import annotations
@@ -112,6 +116,11 @@ def tree_from_json(doc: dict) -> BalloonTree:
                     weights[vid] = frac(entry["weight"])
                 except ValueError as e:
                     raise SchemaError(f"tree node {vid!r}: {e}") from None
+            elif kind is None and not kids:
+                # the tree would keep nothing of it, so no check could see it
+                raise SchemaError(
+                    f"tree node {vid!r}: no children, weight or leaf tag"
+                )
         else:
             raise SchemaError(f"tree node {vid!r}: unknown leaf kind {kind!r}")
     return BalloonTree(
@@ -209,8 +218,9 @@ def word_from_json(tree: BalloonTree, base: MeasureState, doc: dict) -> MoveWord
                 isinstance(edge[0], str) and isinstance(edge[1], str)
             ):
                 raise SchemaError(f"word move {i}: edge needs two node ids")
+            amount = _need(b, "amount", str, "word move", i)
             try:
-                amount = frac(_need(b, "amount", str, "word move", i))
+                amount = frac(amount)
             except ValueError as e:
                 raise SchemaError(f"word move {i}: {e}") from None
             moves.append(BalloonMove((edge[0], edge[1]), amount))

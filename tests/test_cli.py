@@ -191,6 +191,19 @@ def invalid_files(files, star_tree):
         RayStar(Fraction(2), ((Fraction(1),), (Fraction(1),)), (INF, INF))
     )
     bool_depth_star["star"]["depth"] = True
+    # a star of two rays of three cells, once with a stray block and once
+    # with ray 0 running into ray 1's end, which leaves r0e unreached
+    end_shared_star = serialize.star_to_json(
+        RayStar(
+            Fraction(2),
+            ((Fraction(1), Fraction(2), Fraction(3)),) * 2,
+            (INF, Fraction(3)),
+        )
+    )
+    stray_node_star = json.loads(json.dumps(end_shared_star))
+    stray_node_star["nodes"].append({"id": "z", "children": [], "weight": "1"})
+    [r0c2] = [n for n in end_shared_star["nodes"] if n["id"] == "r0c2"]
+    r0c2["children"] = ["r1e"]
     morphism = serialize.morphism_to_json(identity_morphism(star_tree))
     bad_source = json.loads(json.dumps(morphism))
     for node in bad_source["source"]["nodes"]:
@@ -205,6 +218,8 @@ def invalid_files(files, star_tree):
         "bool_depth_star": bool_depth_star,
         "bad_star": bad_star,
         "no_weight_star": no_weight_star,
+        "end_shared_star": end_shared_star,
+        "stray_node_star": stray_node_star,
         "empty_word": {"moves": []},
         "list_in_edge": list_in_edge,
         "object_in_support": object_in_support,
@@ -289,7 +304,28 @@ INVALID_INPUTS = {
     "validate_star_missing_weight": [
         "validate", "--tree", "{tree}", "--star", "{no_weight_star}"
     ],
+    "oracle_star_end_shared": [
+        "oracle", "--star", "{end_shared_star}", "--word", "{empty_word}"
+    ],
+    "validate_star_end_shared": [
+        "validate", "--tree", "{tree}", "--star", "{end_shared_star}"
+    ],
+    "oracle_star_stray_node": [
+        "oracle", "--star", "{stray_node_star}", "--word", "{empty_word}"
+    ],
+    "validate_star_stray_node": [
+        "validate", "--tree", "{tree}", "--star", "{stray_node_star}"
+    ],
 }
+
+END_SHARED = (
+    "validation error: star: node 'r0c2' has children ('r1e',); "
+    "the canonical tree has ('r0e',)"
+)
+STRAY_NODE = (
+    "validation error: star: node 'z' has weight 1; "
+    "the canonical tree has none"
+)
 
 # faults that stop the command while its documents load (so even
 # ``validate`` writes no report), or on a word's move, which the message
@@ -316,6 +352,10 @@ LOAD_FAULTS = {
     "oracle_star_missing_weight": "validation error: star: block 'r0c0' has no weight",
     "oracle_bool_depth": "validation error: star header: key 'depth' has the wrong type",
     "validate_star_missing_weight": "validation error: star: block 'r0c0' has no weight",
+    "oracle_star_end_shared": END_SHARED,
+    "validate_star_end_shared": END_SHARED,
+    "oracle_star_stray_node": STRAY_NODE,
+    "validate_star_stray_node": STRAY_NODE,
 }
 
 
@@ -459,6 +499,30 @@ def test_oracle_stdout_digest(tmp_path, capsys):
         assert main(cmd) == 0
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == ORACLE_STDOUT_SHA256
+
+
+def test_oracle_reads_a_reordered_star_document_alike(tmp_path, capsys):
+    # the same nodes listed the other way round give an equal tree
+    rng = Random("oracle-reordered")
+    star = random_star(rng, max_rays=5, max_depth=6)
+    tree = star.to_tree()
+    word = random_preserving_word(
+        rng, tree, base_state(tree), transfers=6, shuffles=3
+    )
+    word_p = tmp_path / "word.json"
+    word_p.write_text(json.dumps(serialize.word_to_json(word)))
+    outs = []
+    for reverse in (False, True):
+        doc = serialize.star_to_json(star)
+        if reverse:
+            doc["nodes"].reverse()
+        star_p = tmp_path / f"star{reverse}.json"
+        star_p.write_text(json.dumps(doc))
+        cmd = ["oracle", "--star", str(star_p), "--word", str(word_p)]
+        assert main(cmd) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["match"] is True
 
 
 def test_push_command(tmp_path, capsys, star_tree):

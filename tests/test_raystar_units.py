@@ -2,10 +2,11 @@
 
 * Against the builder they replaced: ``_FractionBuilder`` below is that
   builder, its queue rules run on ``Fraction`` starts and masses, each
-  shuffle decomposed by ``_ref_rearrangement_moves``, a Fraction copy of
-  the package's decomposition order.  ``realize_word`` must give the same
-  pieces, compared by the ``repr`` of every field, or fail with the same
-  error, so a value that changes type or lands one unit off shows.
+  shuffle decomposed by ``shuffle_reference._ref_rearrangement_moves``, a
+  Fraction copy of the package's decomposition order.  ``realize_word``
+  must give the same pieces, compared by the ``repr`` of every field, or
+  fail with the same error, so a value that changes type or lands one
+  unit off shows.
 * By call graph: cProfile records which functions each function calls,
   and the queue kernels must call nothing in ``fractions``.  A move's
   amount is read once, by the runner that checks it, and the builder
@@ -48,6 +49,8 @@ from endflow.transport import (
     _Runner,
     route,
 )
+
+from shuffle_reference import _ref_rearrangement_moves
 
 Zero = Fraction(0)
 One = Fraction(1)
@@ -219,21 +222,6 @@ class _FractionBuilder:
         if reached != ends:
             raise RealizationError("realized map is not a bijection")
         return PLMap(star, tuple(pieces))
-
-
-def _ref_rearrangement_moves(tree, anchor, cur, new):
-    """The edge moves taking the checked support masses ``cur`` to ``new``
-    through the support's top node ``anchor``: surpluses are routed to
-    the anchor, then deficits are served from it, nodes in preorder."""
-    order = sorted(set(cur) - {anchor}, key=tree.preorder_index.__getitem__)
-    moves = []
-    for v in order:
-        if cur[v] > new[v]:
-            moves += route(tree, v, anchor, cur[v] - new[v])
-    for v in order:
-        if new[v] > cur[v]:
-            moves += route(tree, anchor, v, new[v] - cur[v])
-    return moves
 
 
 def _fraction_realize(star: RayStar, word: MoveWord) -> PLMap:

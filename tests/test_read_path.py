@@ -1,7 +1,8 @@
 """The read path does each piece of work once.
 
-A star document yields one ``BalloonTree``, which the star keeps as its
-``to_tree()`` when it is the canonical one; each loader parses every
+A star document yields one ``BalloonTree``, which must be the star's
+canonical tree and which the star keeps as its ``to_tree()``; any other
+tree is refused, naming where it differs.  Each loader parses every
 distinct rational string of its document once; and a bad value still
 fails where it first appears, with the same text.
 """
@@ -120,33 +121,106 @@ def _stray_closed_leaf(doc):
     doc["nodes"].append({"id": "z", "children": [], "leaf": {"kind": "closed"}})
 
 
+def _rerooted(doc):
+    doc["root"] = "r0c0"
+
+
+def _closed_cell(doc):
+    _node(doc, "r0c1")["leaf"] = {"kind": "closed"}
+
+
+# the SchemaError text each edit of the canonical document gives; None for
+# an edit that leaves the tree equal, which is kept
+REFUSALS = {
+    _relabeled: "star: block 'r0c0' has no weight",
+    _reordered: None,
+    _rays_swapped: (
+        "star: node 'c' has children ('r2c0', 'r1c0', 'r0c0'); "
+        "the canonical tree has ('r0c0', 'r1c0', 'r2c0')"
+    ),
+    _cells_swapped: (
+        "star: node 'c' has children ('r0c1', 'r1c0', 'r2c0'); "
+        "the canonical tree has ('r0c0', 'r1c0', 'r2c0')"
+    ),
+    _end_shared: (
+        "star: node 'r0c2' has children ('r1e',); "
+        "the canonical tree has ('r0e',)"
+    ),
+    _end_with_child: (
+        "star: node 'r0e' has children ('z',); the canonical tree has none"
+    ),
+    _stray_end_leaf: "star: node 'z' has tail inf; the canonical tree has none",
+    _stray_block: "star: node 'z' has weight 1; the canonical tree has none",
+    _stray_closed_leaf: (
+        "star: node 'z' is a Closed leaf; the canonical tree has none"
+    ),
+    _rerooted: "star: the root is 'r0c0', not 'c'",
+    _closed_cell: (
+        "star: node 'r0c1' is a Closed leaf; the canonical tree has none"
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", REFUSALS)
+def test_any_other_tree_still_yields_the_canonical_tree(edit):
+    """Whatever the document, a star read from it has the canonical tree:
+    an edit that leaves the tree equal is kept, as the star's own tree,
+    and any other is refused with a SchemaError naming where it differs."""
+    doc = _through_text(star_to_json(STAR))
+    edit(doc)
+    if REFUSALS[edit] is not None:
+        with pytest.raises(SchemaError) as err:
+            star_from_json(doc)
+        assert str(err.value) == REFUSALS[edit]
+        return
+    tree, star = _read_back(doc)
+    assert star.to_tree() is tree
+    assert tree == STAR.to_tree()
+    assert (star.center_mass, star.cells, star.tails) == (
+        STAR.center_mass,
+        STAR.cells,
+        STAR.tails,
+    )
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "rays, depth, error",
     [
-        _relabeled,
-        _reordered,
-        _rays_swapped,
-        _cells_swapped,
-        _end_shared,
-        _end_with_child,
-        _stray_end_leaf,
-        _stray_block,
-        _stray_closed_leaf,
+        (
+            2,
+            3,
+            "star: node 'c' has children ('r0c0', 'r1c0', 'r2c0'); "
+            "the canonical tree has ('r0c0', 'r1c0')",
+        ),
+        (4, 3, "star: block 'r3c0' has no weight"),
+        (
+            3,
+            2,
+            "star: node 'r0c1' has children ('r0c2',); "
+            "the canonical tree has ('r0e',)",
+        ),
+        (3, 4, "star: block 'r0c3' has no weight"),
+        # ray by ray: a huge header fails at the first id the tree lacks
+        (10**12, 3, "star: block 'r3c0' has no weight"),
+        (3, 0, "star: all rays need the same positive cell count"),
+        (0, 3, "star: a ray star needs at least two rays"),
+    ],
+    ids=[
+        "fewer_rays",
+        "more_rays",
+        "shallower",
+        "deeper",
+        "huge",
+        "no_cells",
+        "no_rays",
     ],
 )
-def test_any_other_tree_still_yields_the_canonical_tree(edit):
-    doc = _through_text(tree_to_json(STAR.to_tree()))
-    edit(doc)
-    tree, star = _read_back(doc)
-    # the tree a star built from the same masses makes
-    canonical = RayStar(star.center_mass, star.cells, star.tails).to_tree()
-    assert star.to_tree() is not tree
-    assert star.to_tree() == canonical
-    # the same keys in the same order, so every walk of it is the same
-    for field in ("children", "weights", "tails"):
-        assert list(getattr(star.to_tree(), field).items()) == list(
-            getattr(canonical, field).items()
-        )
+def test_a_header_that_does_not_fit_the_tree_is_refused(rays, depth, error):
+    doc = _through_text(star_to_json(STAR))
+    doc["star"] = {"rays": rays, "depth": depth}
+    with pytest.raises(SchemaError) as err:
+        star_from_json(doc)
+    assert str(err.value) == error
 
 
 def _star_rationals(doc):

@@ -126,6 +126,25 @@ def test_tree_schema_errors():
         )
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [{"id": "z", "children": []}, {"id": "z"}, {"id": "z", "leaf": None}],
+)
+def test_a_bare_node_entry_is_refused(entry):
+    # a tree keeps no empty child list, so such a node would vanish unseen
+    doc = {
+        "root": "a",
+        "nodes": [
+            {"id": "a", "weight": "4", "children": ["e"]},
+            {"id": "e", "leaf": {"kind": "end", "tail": "inf"}},
+            entry,
+        ],
+    }
+    with pytest.raises(SchemaError) as err:
+        tree_from_json(doc)
+    assert str(err.value) == "tree node 'z': no children, weight or leaf tag"
+
+
 def test_state_and_charge_round_trip(star_tree):
     mu = base_state(star_tree)
     assert state_from_json(star_tree, state_to_json(mu)) == mu
@@ -155,6 +174,21 @@ def test_word_schema_errors(star_tree):
             mu,
             {"moves": [{"balloon": {"edge": ["r"], "amount": "1"}}]},
         )
+
+
+@pytest.mark.parametrize(
+    "balloon, error",
+    [
+        ({"edge": ["r", "u"]}, "missing key 'amount'"),
+        ({"edge": ["r", "u"], "amount": 1}, "key 'amount' has the wrong type"),
+    ],
+    ids=["missing", "wrong_type"],
+)
+def test_a_bad_amount_is_labeled_once(star_tree, balloon, error):
+    doc = {"moves": [{"balloon": balloon}]}
+    with pytest.raises(SchemaError) as err:
+        word_from_json(star_tree, base_state(star_tree), doc)
+    assert str(err.value) == f"word move 0: {error}"
 
 
 def test_morphism_round_trip():

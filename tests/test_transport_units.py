@@ -61,6 +61,8 @@ from endflow.transport import (
 )
 from endflow.tree import BalloonTree, frontier_edges
 
+from shuffle_reference import _ref_rearrangement_moves
+
 # -- the Fraction runner and the replays built on it -------------------------
 
 
@@ -269,18 +271,6 @@ def _ref_push_word(pi, word):
             }
             out.append(Rearrange(mapped, masses))
     return MoveWord(pi.target, push_measure(pi, word.base), tuple(out))
-
-
-def _ref_rearrangement_moves(tree, anchor, cur, new):
-    order = sorted(set(cur) - {anchor}, key=tree.preorder_index.__getitem__)
-    moves = []
-    for v in order:
-        if cur[v] > new[v]:
-            moves += route(tree, v, anchor, cur[v] - new[v])
-    for v in order:
-        if new[v] > cur[v]:
-            moves += route(tree, anchor, v, new[v] - cur[v])
-    return moves
 
 
 def _ref_realize_word(star, word):
