@@ -34,7 +34,7 @@ from .errors import (
 from .extmath import frac_str, parse_frac
 from .measure import MeasureState, base_state
 from .morphism import TreeMorphism, push_charge, push_measure, push_word
-from .raystar import RayStar, _realize, charge_from_definition, oracle_cuts
+from .raystar import RayStar, charge_from_definition, oracle_cuts, realize_word
 from .section import build_section, factorize, retract
 from .transport import MoveWord, apply_word, charge_of_word
 from .tree import BalloonTree, validate_tree
@@ -248,7 +248,8 @@ def cmd_push(args) -> int:
 def cmd_oracle(args) -> int:
     _require_at_least_one("--cuts", args.cuts)
     sc = Scenario.load(args)
-    h, flux_charge = _realize(sc.star, sc.word)
+    h = realize_word(sc.star, sc.word)
+    flux_charge = charge_of_word(sc.word)
     defs = [
         charge_from_definition(sc.star, h, cut)
         for cut in oracle_cuts(h, args.cuts)

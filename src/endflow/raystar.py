@@ -47,11 +47,13 @@ from .extmath import INF, ExtMass, as_frac, as_mass, is_inf
 from .transport import (
     MoveWord,
     Rearrange,
-    _charge,
+    _keep_end,
     _rearrangement_moves,
+    _require_preserving,
     _Runner,
     _steps,
     _word_unit,
+    charge_of_word,
 )
 from .tree import BalloonTree
 
@@ -152,20 +154,26 @@ class RayStar:
     def _tree(self) -> BalloonTree:
         return BalloonTree(*self._parts())
 
-    def _parts(self):
+    def _parts(self, ray_ids=None):
         """The canonical tree's root, children, weights and tails: the
         center's children are the rays' first cells, each cell's one child
-        is the next cell or its ray's End leaf, and no leaf is Closed."""
+        is the next cell or its ray's End leaf, and no leaf is Closed.
+        ``ray_ids`` are the ids of each ray's cells and End leaf, when the
+        caller has formatted them already."""
+        if ray_ids is None:
+            ray_ids = [
+                [self.cell_id(i, k) for k in range(self.depth)]
+                + [self.end_id(i)]
+                for i in range(self.ray_count)
+            ]
         c = self.center_id()
-        children = {c: tuple(self.cell_id(i, 0) for i in range(self.ray_count))}
+        children = {c: tuple(ids[0] for ids in ray_ids)}
         weights = {c: self.center_mass}
         tails = {}
-        for i, ray in enumerate(self.cells):
-            ids = [self.cell_id(i, k) for k in range(self.depth)]
-            ids.append(self.end_id(i))
+        for ids, ray, tail in zip(ray_ids, self.cells, self.tails):
             children.update(zip(ids, zip(ids[1:])))  # each cell: (next,)
             weights.update(zip(ids, ray))
-            tails[ids[-1]] = self.tails[i]
+            tails[ids[-1]] = tail
         return c, children, weights, tails
 
     @classmethod
@@ -187,14 +195,20 @@ class RayStar:
                 raise ValueError(f"end {v!r} has no tail")
             return tree.tails[v]
 
-        # ray by ray, so a header larger than the tree fails at its first
-        # missing id
-        cells, ends = [], []
+        # id by id, so a header larger than the tree fails at its first
+        # missing id; each id is formatted once, for the masses and the parts
+        ray_ids, cells, ends = [], [], []
         for i in range(rays):
-            cells.append(tuple(weight(cls.cell_id(i, k)) for k in range(depth)))
-            ends.append(tail(cls.end_id(i)))
+            ids, ray = [], []
+            for k in range(depth):
+                ids.append(cls.cell_id(i, k))
+                ray.append(weight(ids[-1]))
+            ids.append(cls.end_id(i))
+            ray_ids.append(ids)
+            cells.append(tuple(ray))
+            ends.append(tail(ids[-1]))
         star = cls(weight(cls.center_id()), tuple(cells), tuple(ends))
-        root, *parts = star._parts()
+        root, *parts = star._parts(ray_ids)
         if tree.root != root:
             raise ValueError(f"the root is {tree.root!r}, not {root!r}")
         given = (tree.children, tree.weights, tree.tails)
@@ -586,9 +600,14 @@ class _PLBuilder:
         )
 
 
-def _realize(star: RayStar, word: MoveWord) -> Tuple[PLMap, EndCharge]:
-    """The realized map of a measure-preserving word and its flux charge,
-    both read off one replay."""
+def realize_word(star: RayStar, word: MoveWord) -> PLMap:
+    """Piecewise-linear map whose block-level action and edge fluxes are
+    those of the (measure-preserving) word.
+
+    The replay that checks the word is kept as the word's own
+    (:func:`~endflow.transport._keep_end`), so a later
+    :func:`~endflow.transport.charge_of_word` reads the flux charge off
+    it without walking the word again."""
     tree = star.to_tree()
     if word.tree != tree:
         raise TreeMismatchError("word does not live on the star's tree")
@@ -604,14 +623,9 @@ def _realize(star: RayStar, word: MoveWord) -> Tuple[PLMap, EndCharge]:
                 builder._shift(edge, d)
         else:
             builder._shift(mv.edge, read)
-    charge = _charge(word, runner)
-    return builder.to_plmap(), charge
-
-
-def realize_word(star: RayStar, word: MoveWord) -> PLMap:
-    """Piecewise-linear map whose block-level action and edge fluxes are
-    those of the (measure-preserving) word."""
-    return _realize(star, word)[0]
+    _keep_end(word, runner)
+    _require_preserving(word, runner)
+    return builder.to_plmap()
 
 
 def oracle_cuts(h: PLMap, count: int) -> List[Fraction]:
@@ -645,6 +659,6 @@ def charge_from_definition(star: RayStar, h: PLMap, cut) -> EndCharge:
 
 def compare_oracle(star: RayStar, word: MoveWord, cut=None) -> bool:
     """Exact agreement of the flux charge and the set-difference charge."""
-    h, flux_charge = _realize(star, word)
+    h = realize_word(star, word)
     T = as_frac(cut) if cut is not None else oracle_cuts(h, 1)[0]
-    return charge_from_definition(star, h, T) == flux_charge
+    return charge_from_definition(star, h, T) == charge_of_word(word)

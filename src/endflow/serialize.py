@@ -3,10 +3,12 @@
 Rationals are strings "p/q" (reduced; plain "p" when integral) and "inf"
 is the only infinity token.  Loaders raise SchemaError on malformed
 documents; semantic validation stays with the domain types.  A tree node
-entry needs children, a weight or a leaf tag.  A star document must be
-the star's canonical tree: a relabeled tree, swapped rays or cells, an
-unfitting header, a shared end, an end with a child, a stray node or a
-Closed leaf is a SchemaError naming the first node where it differs.
+entry needs children, a weight or a leaf tag, and holds no other key: an
+End leaf takes no weight, and a leaf tag holds its ``kind`` and, for an
+End leaf, its ``tail``.  A star document must be the star's canonical
+tree: a relabeled tree, swapped rays or cells, an unfitting header, a
+shared end, an end with a child, a stray node or a Closed leaf is a
+SchemaError naming the first node where it differs.
 """
 
 from __future__ import annotations
@@ -82,6 +84,19 @@ def tree_to_json(t: BalloonTree) -> dict:
     return {"root": t.root, "nodes": nodes}
 
 
+# the keys a node entry may hold, by leaf kind, and those of its leaf tag
+_BLOCK_KEYS = frozenset({"id", "children", "weight", "leaf"})
+_ENTRY_KEYS = {
+    None: _BLOCK_KEYS, "closed": _BLOCK_KEYS, "end": _BLOCK_KEYS - {"weight"}
+}
+_TAG_KEYS = {None: {"kind"}, "closed": {"kind"}, "end": {"kind", "tail"}}
+
+
+def _refuse_extra_key(vid, obj, allowed, where):
+    key = next(k for k in obj if k not in allowed)
+    raise SchemaError(f"tree node {vid!r}: unexpected key {key!r}{where}")
+
+
 def tree_from_json(doc: dict) -> BalloonTree:
     root = _need(doc, "root", str, "tree")
     nodes = _need(doc, "nodes", list, "tree")
@@ -107,7 +122,6 @@ def tree_from_json(doc: dict) -> BalloonTree:
                 tails[vid] = mass(_need(leaf, "tail", str, "end leaf"))
             except ValueError as e:
                 raise SchemaError(f"tree node {vid!r}: {e}") from None
-            # a weight on an End leaf carries no block; ignored if present
         elif kind == "closed" or kind is None:
             if kind == "closed":
                 closed.add(vid)
@@ -123,6 +137,13 @@ def tree_from_json(doc: dict) -> BalloonTree:
                 )
         else:
             raise SchemaError(f"tree node {vid!r}: unknown leaf kind {kind!r}")
+        # a key no reader takes (a weight on an End leaf among them) would
+        # be dropped unread, so it is refused
+        if not entry.keys() <= _ENTRY_KEYS[kind]:
+            where = " on an End leaf" if kind == "end" else ""
+            _refuse_extra_key(vid, entry, _ENTRY_KEYS[kind], where)
+        if leaf and not leaf.keys() <= _TAG_KEYS[kind]:
+            _refuse_extra_key(vid, leaf, _TAG_KEYS[kind], " in its leaf tag")
     return BalloonTree(
         root=root,
         children=children,

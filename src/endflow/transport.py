@@ -24,6 +24,16 @@ gives the lcm U of the denominators the word holds, and the runner counts
 masses and fluxes in units of 1/U, making a ``Fraction`` only for what it
 hands back; runners whose moves are not known before they run keep
 ``Fraction`` values (see :class:`_Runner`).
+
+A word keeps the end of its own replay: the first reader
+(:func:`apply_word`, :func:`is_measure_preserving`,
+:func:`charge_of_word`, :func:`region_transfer`,
+:func:`extensionally_equal`) replays it and stores the runner on the
+word, and :func:`~endflow.raystar.realize_word` stores the checked
+replay it walks; later readers read that runner and never change it.  A
+replay that raises stores nothing, so every later call raises alike.  A
+walk on a caller's runner (the section's and ``align_step``'s, which go
+on moving their runners) neither reads nor fills the memo.
 """
 
 from __future__ import annotations
@@ -334,12 +344,29 @@ def _steps(runner: _Runner, word: MoveWord):
 
 
 def _replay(word: MoveWord, runner: Optional[_Runner] = None) -> _Runner:
-    """The runner (by default new, on the word's unit) at the word's end."""
-    if runner is None:
-        runner = _Runner(word.base, _word_unit(word))
-    for _ in _steps(runner, word):
-        pass
-    return runner
+    """The runner at the word's end.
+
+    Given a runner, it is walked on and the word's memo is neither read
+    nor written.  Without one, this is the word's own replay: run once,
+    on the word's unit, and kept on the word (:func:`_keep_end`); its
+    readers must not change it."""
+    if runner is not None:
+        for _ in _steps(runner, word):
+            pass
+        return runner
+    end = vars(word).get("_end")
+    if end is None:
+        end = _replay(word, _Runner(word.base, _word_unit(word)))
+        _keep_end(word, end)
+    return end
+
+
+def _keep_end(word: MoveWord, runner: _Runner) -> None:
+    """Keep ``runner``, a completed replay of the whole word from its base
+    (on a multiple of its unit), as the word's replay.  A frozen
+    dataclass leaves its instance dict writable; the memo is no field, so
+    equality, hashing and ``repr`` do not see it."""
+    vars(word)["_end"] = runner
 
 
 def apply_word(word: MoveWord) -> Tuple[MeasureState, FluxField]:
@@ -367,21 +394,23 @@ def is_measure_preserving(word: MoveWord) -> bool:
     return _preserves(word, _replay(word))
 
 
-def _charge(word: MoveWord, r: _Runner) -> EndCharge:
-    """The word's end charge read off the runner left at its end."""
+def _require_preserving(word: MoveWord, r: _Runner) -> None:
+    """Raise :class:`ChargeUndefinedError` unless the runner, left at the
+    word's end, shows a measure-preserving word."""
     if not _preserves(word, r):
         raise ChargeUndefinedError(
             "word does not preserve its base measure; charge undefined"
         )
-    t = word.tree
-    return EndCharge(
-        t, {v: r._out(r.flux[t.leaf_edge(v)]) for v in t.end_leaves}
-    )
 
 
 def charge_of_word(word: MoveWord) -> EndCharge:
     """End charge of a measure-preserving word: its leaf-edge fluxes."""
-    return _charge(word, _replay(word))
+    r = _replay(word)
+    _require_preserving(word, r)
+    t = word.tree
+    return EndCharge(
+        t, {v: r._out(r.flux[t.leaf_edge(v)]) for v in t.end_leaves}
+    )
 
 
 def concat(w1: MoveWord, w2: MoveWord) -> MoveWord:

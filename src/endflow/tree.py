@@ -230,7 +230,11 @@ def validate_tree(t: BalloonTree) -> list:
         if v not in ids:
             out.append(f"children listed for unknown node {v!r}")
         for c in cs:
-            if c in parents:
+            if parents.get(c) == v:
+                out.append(
+                    f"node {c!r} is listed twice among the children of {v!r}"
+                )
+            elif c in parents:
                 out.append(f"node {c!r} has multiple parents")
             parents[c] = v
     if t.root in parents:
@@ -244,7 +248,8 @@ def validate_tree(t: BalloonTree) -> list:
             out.append(f"cycle through node {v!r}")
             continue
         reachable.add(v)
-        stack.extend(t.children.get(v, ()))
+        # a child listed twice is reported above, not as a cycle
+        stack.extend(dict.fromkeys(t.children.get(v, ())))
     for v in ids:
         if v not in reachable:
             out.append(f"node {v!r} unreachable from root")

@@ -182,6 +182,10 @@ def invalid_files(files, star_tree):
     repeated_id = serialize.tree_to_json(star_tree)
     [u_entry] = [n for n in repeated_id["nodes"] if n["id"] == "u"]
     repeated_id["nodes"].append(dict(u_entry, weight="5"))
+    # End leaf 'l1' states a mass no reader takes
+    stated_mass = serialize.tree_to_json(star_tree)
+    [l1_entry] = [n for n in stated_mass["nodes"] if n["id"] == "l1"]
+    l1_entry["weight"] = "7"
     overdraw = json.loads(json.dumps(word))
     overdraw["moves"].insert(
         1, {"balloon": {"edge": ["u", "l1"], "amount": "5"}}
@@ -228,6 +232,7 @@ def invalid_files(files, star_tree):
         "star_overdraw": star_overdraw,
         "star_unbalanced": star_unbalanced,
         "repeated_id_tree": repeated_id,
+        "stated_mass_tree": stated_mass,
     }
     paths = {k: v for k, v in files.items() if k != "dir"}
     for name, doc in docs.items():
@@ -292,6 +297,7 @@ INVALID_INPUTS = {
         "oracle", "--star", "{star}", "--word", "{star_unbalanced}"
     ],
     "validate_repeated_node_id": ["validate", "--tree", "{repeated_id_tree}"],
+    "validate_end_leaf_weight": ["validate", "--tree", "{stated_mass_tree}"],
     "validate_repeated_charge_key": [
         "validate", "--tree", "{tree}", "--charge", "{repeated_key_charge}"
     ],
@@ -348,6 +354,10 @@ LOAD_FAULTS = {
         "charge undefined"
     ),
     "validate_repeated_node_id": "validation error: tree node 'u': repeated id",
+    "validate_end_leaf_weight": (
+        "validation error: tree node 'l1': unexpected key 'weight' "
+        "on an End leaf"
+    ),
     "validate_repeated_charge_key": "validation error: repeated JSON key 'l1'",
     "oracle_star_missing_weight": "validation error: star: block 'r0c0' has no weight",
     "oracle_bool_depth": "validation error: star header: key 'depth' has the wrong type",
@@ -398,7 +408,7 @@ def test_realization_error_exits_3(tmp_path, capsys, monkeypatch):
     def broken(star, word):
         raise RealizationError("realized map is not a bijection")
 
-    monkeypatch.setattr(cli, "_realize", broken)
+    monkeypatch.setattr(cli, "realize_word", broken)
     star = random_star(Random(81))
     star_p = tmp_path / "star.json"
     word_p = tmp_path / "word.json"

@@ -32,6 +32,7 @@ from endflow.serialize import (
     word_from_json,
     word_to_json,
 )
+from endflow.tree import BalloonTree
 
 
 def test_rational_parsing():
@@ -143,6 +144,72 @@ def test_a_bare_node_entry_is_refused(entry):
     with pytest.raises(SchemaError) as err:
         tree_from_json(doc)
     assert str(err.value) == "tree node 'z': no children, weight or leaf tag"
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (
+            lambda nodes: nodes[1].update(weight="7"),
+            "tree node 'e': unexpected key 'weight' on an End leaf",
+        ),
+        (
+            lambda nodes: nodes[2].update(bogus=1),
+            "tree node 'f': unexpected key 'bogus'",
+        ),
+        (
+            lambda nodes: nodes[0].update(tail="inf"),
+            "tree node 'a': unexpected key 'tail'",
+        ),
+        (
+            lambda nodes: nodes[1]["leaf"].update(weight="7"),
+            "tree node 'e': unexpected key 'weight' in its leaf tag",
+        ),
+        (
+            lambda nodes: nodes[2]["leaf"].update(tail="inf"),
+            "tree node 'f': unexpected key 'tail' in its leaf tag",
+        ),
+        (
+            lambda nodes: nodes[0].update(leaf={"bogus": 1}),
+            "tree node 'a': unexpected key 'bogus' in its leaf tag",
+        ),
+    ],
+    ids=[
+        "weight_on_end_leaf",
+        "unknown_entry_key",
+        "tail_on_a_block",
+        "weight_in_end_tag",
+        "tail_in_closed_tag",
+        "untyped_tag_key",
+    ],
+)
+def test_a_key_no_reader_takes_is_refused(edit, error):
+    # before, each of these keys was dropped unread
+    doc = {
+        "root": "a",
+        "nodes": [
+            {"id": "a", "weight": "4", "children": ["e", "f"]},
+            {"id": "e", "leaf": {"kind": "end", "tail": "inf"}},
+            {"id": "f", "weight": "1", "leaf": {"kind": "closed"}},
+        ],
+    }
+    tree_from_json(doc)
+    edit(doc["nodes"])
+    with pytest.raises(SchemaError) as err:
+        tree_from_json(doc)
+    assert str(err.value) == error
+
+
+def test_the_canonical_forms_still_load():
+    t = BalloonTree(
+        root="a",
+        children={"a": ("e", "f", "g")},
+        weights={"a": Fraction(4), "f": Fraction(1)},
+        tails={"e": INF, "g": Fraction(3)},
+        closed=frozenset({"f"}),
+    )
+    doc = json.loads(json.dumps(tree_to_json(t)))
+    assert tree_from_json(doc) == t
 
 
 def test_state_and_charge_round_trip(star_tree):

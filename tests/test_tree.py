@@ -67,6 +67,30 @@ def test_unreachable_and_multiparent_flagged():
     assert any("unreachable" in p for p in problems)
 
 
+def test_a_child_listed_twice_is_no_cycle():
+    t = BalloonTree(
+        root="a",
+        children={"a": ("e", "e")},
+        weights={"a": Fraction(1)},
+        tails={"e": INF},
+    )
+    assert validate_tree(t) == [
+        "node 'e' is listed twice among the children of 'a'"
+    ]
+
+
+def test_a_real_cycle_is_still_reported():
+    t = BalloonTree(
+        root="a",
+        children={"a": ("b", "e"), "b": ("c",), "c": ("b",)},
+        weights={"a": Fraction(1), "b": Fraction(1), "c": Fraction(1)},
+        tails={"e": INF},
+    )
+    problems = validate_tree(t)
+    assert "cycle through node 'b'" in problems
+    assert not any("listed twice" in p for p in problems)
+
+
 def test_untagged_leaf_flagged():
     t = BalloonTree(
         root="a",

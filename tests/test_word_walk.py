@@ -4,6 +4,9 @@
   every function that replays it.
 * The 1-D oracle reads the realized map and the flux charge off one
   replay: each move is applied once per request.
+* A word keeps the end of its own replay, so every reader of a word
+  shares one walk; a walk on a caller's runner (``align_step``) neither
+  reads nor fills it, nor does ``build_section``.
 """
 
 import json
@@ -16,15 +19,23 @@ from endflow import serialize, transport
 from endflow.cli import main
 from endflow.errors import NonPositiveBlockError
 from endflow.extmath import INF
-from endflow.gen import random_preserving_word, random_star
+from endflow.charge import EndCharge
+from endflow.gen import (
+    random_preserving_word,
+    random_star,
+    random_tree,
+    random_valid_charge,
+)
 from endflow.measure import base_state
 from endflow.morphism import identity_morphism, push_word
 from endflow.raystar import RayStar, compare_oracle, realize_word
+from endflow.section import align_step, build_section
 from endflow.transport import (
     BalloonMove,
     MoveWord,
     apply_word,
     charge_of_word,
+    extensionally_equal,
     invert_word,
     is_measure_preserving,
     region_transfer,
@@ -104,3 +115,129 @@ def test_oracle_command_applies_each_move_once(
     assert main(["oracle", "--star", str(star_p), "--word", str(word_p)]) == 0
     assert json.loads(capsys.readouterr().out)["match"] is True
     assert counted_applies == list(word.moves)
+
+
+def _copy(word):
+    return MoveWord(word.tree, word.base, word.moves)
+
+
+def _failing_word():
+    # move 0 leaves the center at 3/2, move 1 takes 2 from it
+    return MoveWord(TREE, base_state(TREE), (
+        BalloonMove(("c", "r0c0"), Fraction(1, 2)),
+        BalloonMove(("c", "r1c0"), Fraction(2)),
+    ))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_realize_then_charge_applies_each_move_once(seed, counted_applies):
+    star, word = _oracle_case(seed)
+    counted_applies.clear()
+    h = realize_word(star, word)
+    charge = charge_of_word(word)
+    assert counted_applies == list(word.moves)
+    # the kept replay ran on the builder's unit; it reads as the word's own
+    fresh = _copy(word)
+    assert charge == charge_of_word(fresh)
+    assert apply_word(word) == apply_word(fresh)
+    assert realize_word(star, fresh).pieces == h.pieces
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_readers_of_a_word_share_one_replay(seed, counted_applies):
+    _, word = _oracle_case(seed)
+    counted_applies.clear()
+    got = (
+        is_measure_preserving(word),
+        charge_of_word(word),
+        apply_word(word),
+        region_transfer(word, {"c"}),
+        extensionally_equal(word, word),
+    )
+    assert counted_applies == list(word.moves)
+    fresh = _copy(word)
+    assert got == (
+        is_measure_preserving(fresh),
+        charge_of_word(fresh),
+        apply_word(fresh),
+        region_transfer(fresh, {"c"}),
+        True,
+    )
+    # a reader hands back copies: changing them leaves the kept replay
+    state, flux = got[2]
+    state.blocks["c"] += 1
+    flux.flux[("c", "r0c0")] += 1
+    assert apply_word(word) == apply_word(fresh)
+
+
+@pytest.mark.parametrize("walk", WALKERS.values(), ids=WALKERS.keys())
+def test_a_failing_word_fails_alike_every_time(walk, counted_applies):
+    word = _failing_word()
+    for _ in range(2):
+        counted_applies.clear()
+        with pytest.raises(NonPositiveBlockError) as err:
+            walk(word)
+        assert err.value.move_index == 1
+        assert str(err.value) == (
+            "block 'c' would drop to -1/2 moving 2 across ('c', 'r1c0')"
+        )
+        assert counted_applies == list(word.moves)
+    assert word == _failing_word()
+
+
+def _align_case():
+    mu = base_state(TREE)
+    word = MoveWord(TREE, mu, (BalloonMove(("c", "r0c0"), Fraction(1, 2)),))
+    target = MoveWord(TREE, mu, (BalloonMove(("c", "r1c0"), Fraction(1, 3)),))
+    charge = EndCharge(TREE, {"r0e": Fraction(1), "r1e": Fraction(-1)})
+    return mu, word, target, charge
+
+
+def _align(mu, word, target, charge):
+    return align_step(
+        mu, frozenset(), frozenset({"c", "r0c0", "r1c0"}), word, target, charge
+    )
+
+
+def test_align_step_does_not_fill_the_words_replay(counted_applies):
+    mu, word, target, charge = _align_case()
+    _align(mu, word, target, charge)
+    for w in (word, target):
+        counted_applies.clear()
+        apply_word(w)
+        assert counted_applies == list(w.moves)
+
+
+def test_align_step_does_not_read_or_change_the_words_replay(counted_applies):
+    mu, word, target, charge = _align_case()
+    ends = [apply_word(w) for w in (word, target)]
+    counted_applies.clear()
+    h = _align(mu, word, target, charge)
+    # both words walked afresh, then the level's own moves, if any
+    walked = list(word.moves) + list(target.moves)
+    assert counted_applies[: len(walked)] == walked
+    assert h == _align(mu, _copy(word), _copy(target), charge)
+    counted_applies.clear()
+    assert [apply_word(w) for w in (word, target)] == ends
+    assert counted_applies == []
+
+
+def test_a_section_charge_is_its_own_replay(counted_applies):
+    rng = Random(5)
+    tree = random_tree(rng, max_depth=4, max_nodes=40)
+    mu = base_state(tree)
+    a = random_valid_charge(rng, tree, mu)
+    word = build_section(tree, mu, a)
+    assert word.moves
+    counted_applies.clear()
+    assert charge_of_word(word) == a
+    assert len(counted_applies) == len(word)
+
+
+def test_a_replayed_word_equals_a_fresh_copy():
+    _, word = _oracle_case(0)
+    before = repr(word)
+    charge_of_word(word)
+    fresh = _copy(word)
+    assert word == fresh and fresh == word
+    assert repr(word) == repr(fresh) == before
