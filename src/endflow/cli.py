@@ -105,7 +105,10 @@ class Scenario:
             sc.morphism = serialize.morphism_from_json(
                 _read_json(args.morphism)
             )
-            _require_valid("morphism", sc.morphism.validate())
+            pi = sc.morphism
+            _require_valid(
+                "morphism", _tree_problems("target", pi.target) + pi.validate()
+            )
         if getattr(args, "star", None):
             try:
                 sc.star = serialize.star_from_json(_read_json(args.star))
@@ -136,6 +139,11 @@ class Scenario:
                 sc.tree, _read_json(args.charge)
             )
         return sc
+
+
+def _tree_problems(side: str, tree: BalloonTree) -> list:
+    """A morphism's source or target tree problems, labeled by side."""
+    return [f"{side} tree: {p}" for p in validate_tree(tree)]
 
 
 def _require_valid(what: str, problems: list):
@@ -182,8 +190,11 @@ def cmd_validate(args) -> int:
                 ok = False
     if args.morphism:
         pi = serialize.morphism_from_json(_read_json(args.morphism))
-        source = [f"source tree: {p}" for p in validate_tree(pi.source)]
-        report["morphism"] = source + pi.validate()
+        report["morphism"] = (
+            _tree_problems("source", pi.source)
+            + _tree_problems("target", pi.target)
+            + pi.validate()
+        )
         ok = ok and not report["morphism"]
     if args.star:
         # a star loads only from its canonical tree, valid by construction

@@ -25,9 +25,7 @@ from .transport import (
     BalloonMove,
     MoveWord,
     Rearrange,
-    _Runner,
-    _steps,
-    _word_unit,
+    _walk,
     charge_of_word,
 )
 from .tree import BalloonTree
@@ -181,9 +179,8 @@ def _push_moves(pi: TreeMorphism, word: MoveWord, skip_collapsed: bool):
     (fiber-mates outside a shuffle's support keep their mass).
 
     Errors raised by the runner carry the failing index in ``move_index``."""
-    runner = _Runner(word.base, _word_unit(word))
     out = []
-    for mv, _ in _steps(runner, word):
+    for runner, mv, _ in _walk(word):
         if isinstance(mv, BalloonMove):
             p, c = mv.edge
             mp, mc = pi.node_map[p], pi.node_map[c]

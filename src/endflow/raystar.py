@@ -47,11 +47,10 @@ from .extmath import INF, ExtMass, as_frac, as_mass, is_inf
 from .transport import (
     MoveWord,
     Rearrange,
-    _keep_end,
     _rearrangement_moves,
+    _replay,
     _require_preserving,
-    _Runner,
-    _steps,
+    _walk,
     _word_unit,
     charge_of_word,
 )
@@ -363,17 +362,6 @@ def iset_subtract(a, b):
     return iset_normalize(out)
 
 
-def iset_intersect(a, b):
-    b = iset_normalize(b)
-    out = []
-    for (loc, lo, hi) in iset_normalize(a):
-        for (bl, blo, bhi) in b:
-            o = _clip(lo, hi, blo, bhi) if bl == loc else None
-            if o:
-                out.append((loc, *o))
-    return iset_normalize(out)
-
-
 def iset_mass(iset) -> ExtMass:
     total = Zero
     for (_, lo, hi) in iset_normalize(iset):
@@ -604,8 +592,8 @@ def realize_word(star: RayStar, word: MoveWord) -> PLMap:
     """Piecewise-linear map whose block-level action and edge fluxes are
     those of the (measure-preserving) word.
 
-    The replay that checks the word is kept as the word's own
-    (:func:`~endflow.transport._keep_end`), so a later
+    The walk that checks the word is its own replay
+    (:func:`~endflow.transport._walk`), so a later
     :func:`~endflow.transport.charge_of_word` reads the flux charge off
     it without walking the word again."""
     tree = star.to_tree()
@@ -614,8 +602,7 @@ def realize_word(star: RayStar, word: MoveWord) -> PLMap:
     builder = _PLBuilder(star, _word_unit(word))
     # the runner shares the builder's unit and reads each move once before
     # the builder sees it, so a shuffle is decomposed on the runner's ints
-    runner = _Runner(word.base, builder.unit)
-    for mv, read in _steps(runner, word):
+    for runner, mv, read in _walk(word, builder.unit):
         if isinstance(mv, Rearrange):
             new = {v: runner.blocks[v] for v in mv.support}
             anchor = tree.top(mv.support)
@@ -623,8 +610,7 @@ def realize_word(star: RayStar, word: MoveWord) -> PLMap:
                 builder._shift(edge, d)
         else:
             builder._shift(mv.edge, read)
-    _keep_end(word, runner)
-    _require_preserving(word, runner)
+    _require_preserving(word, _replay(word))
     return builder.to_plmap()
 
 

@@ -48,7 +48,7 @@ from .transport import (
     MoveWord,
     Rearrange,
     _Runner,
-    _replay,
+    _steps,
     charge_of_word,
     concat,
     empty_word,
@@ -405,8 +405,10 @@ def align_step(
     if word.base != mu or target_word.base != mu:
         raise AlignPreconditionError("words must be based at the given measure")
     # Fraction runners: the level's moves need not be whole units of a word
-    runner = _replay(word, _Runner(mu))
-    target_runner = _replay(target_word, _Runner(mu))
+    runner, target_runner = _Runner(mu), _Runner(mu)
+    for r, w in ((runner, word), (target_runner, target_word)):
+        for _ in _steps(r, w):
+            pass
     inner = check_region(tree, inner)
     outer = check_region(tree, outer)
     for name, cut in (("inner", inner), ("outer", outer)):

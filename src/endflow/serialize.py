@@ -2,13 +2,17 @@
 
 Rationals are strings "p/q" (reduced; plain "p" when integral) and "inf"
 is the only infinity token.  Loaders raise SchemaError on malformed
-documents; semantic validation stays with the domain types.  A tree node
-entry needs children, a weight or a leaf tag, and holds no other key: an
-End leaf takes no weight, and a leaf tag holds its ``kind`` and, for an
-End leaf, its ``tail``.  A star document must be the star's canonical
-tree: a relabeled tree, swapped rays or cells, an unfitting header, a
-shared end, an end with a child, a stray node or a Closed leaf is a
-SchemaError naming the first node where it differs.
+documents; semantic validation stays with the domain types.  The tree,
+word and charge loaders drop no key unread.  A tree node entry needs
+children, a weight or a leaf tag, and holds no other key: an End leaf
+takes no weight, and a leaf tag holds its ``kind`` and, for an End leaf,
+its ``tail``.  A word holds its ``moves`` alone, each move exactly one of
+``balloon`` (an ``edge`` and an ``amount``) and ``rearrange`` (a
+``support`` and its ``masses``); a charge is a flat map of End leaves or
+``values`` alone.  A star document must be the star's canonical tree: a
+relabeled tree, swapped rays or cells, an unfitting header, a shared
+end, an end with a child, a stray node or a Closed leaf is a SchemaError
+naming the first node where it differs.
 """
 
 from __future__ import annotations
@@ -92,9 +96,11 @@ _ENTRY_KEYS = {
 _TAG_KEYS = {None: {"kind"}, "closed": {"kind"}, "end": {"kind", "tail"}}
 
 
-def _refuse_extra_key(vid, obj, allowed, where):
+def _refuse_extra_key(label, obj, allowed, where=""):
+    """Refuse the first key of ``obj`` outside ``allowed``, naming
+    ``label``."""
     key = next(k for k in obj if k not in allowed)
-    raise SchemaError(f"tree node {vid!r}: unexpected key {key!r}{where}")
+    raise SchemaError(f"{label}: unexpected key {key!r}{where}")
 
 
 def tree_from_json(doc: dict) -> BalloonTree:
@@ -141,9 +147,13 @@ def tree_from_json(doc: dict) -> BalloonTree:
         # be dropped unread, so it is refused
         if not entry.keys() <= _ENTRY_KEYS[kind]:
             where = " on an End leaf" if kind == "end" else ""
-            _refuse_extra_key(vid, entry, _ENTRY_KEYS[kind], where)
+            _refuse_extra_key(
+                f"tree node {vid!r}", entry, _ENTRY_KEYS[kind], where
+            )
         if leaf and not leaf.keys() <= _TAG_KEYS[kind]:
-            _refuse_extra_key(vid, leaf, _TAG_KEYS[kind], " in its leaf tag")
+            _refuse_extra_key(
+                f"tree node {vid!r}", leaf, _TAG_KEYS[kind], " in its leaf tag"
+            )
     return BalloonTree(
         root=root,
         children=children,
@@ -192,9 +202,12 @@ def charge_from_json(tree: BalloonTree, doc: dict) -> EndCharge:
         raise SchemaError("charge: expected a values mapping")
     frac, _ = _rationals()
     try:
-        return EndCharge(tree, {v: frac(x) for v, x in values.items()})
+        charge = EndCharge(tree, {v: frac(x) for v, x in values.items()})
     except ValueError as e:
         raise SchemaError(f"charge: {e}") from None
+    if "values" in doc and len(doc) > 1:
+        _refuse_extra_key("charge", doc, ("values",))
+    return charge
 
 
 # -- words --------------------------------------------------------------------
@@ -226,6 +239,13 @@ def word_to_json(w: MoveWord) -> dict:
     return {"moves": moves}
 
 
+# the keys of each move kind's body
+_BODY_KEYS = {
+    "balloon": frozenset({"edge", "amount"}),
+    "rearrange": frozenset({"support", "masses"}),
+}
+
+
 def word_from_json(tree: BalloonTree, base: MeasureState, doc: dict) -> MoveWord:
     frac, _ = _rationals()
     moves = []
@@ -233,24 +253,24 @@ def word_from_json(tree: BalloonTree, base: MeasureState, doc: dict) -> MoveWord
         if not isinstance(entry, dict):
             raise SchemaError(f"word move {i}: not an object")
         if "balloon" in entry:
-            b = entry["balloon"]
-            edge = _need(b, "edge", list, "word move", i)
+            kind, body = "balloon", entry["balloon"]
+            edge = _need(body, "edge", list, "word move", i)
             if len(edge) != 2 or not (
                 isinstance(edge[0], str) and isinstance(edge[1], str)
             ):
                 raise SchemaError(f"word move {i}: edge needs two node ids")
-            amount = _need(b, "amount", str, "word move", i)
+            amount = _need(body, "amount", str, "word move", i)
             try:
                 amount = frac(amount)
             except ValueError as e:
                 raise SchemaError(f"word move {i}: {e}") from None
             moves.append(BalloonMove((edge[0], edge[1]), amount))
         elif "rearrange" in entry:
-            r = entry["rearrange"]
-            support = _need(r, "support", list, "word move", i)
+            kind, body = "rearrange", entry["rearrange"]
+            support = _need(body, "support", list, "word move", i)
             if not all(isinstance(v, str) for v in support):
                 raise SchemaError(f"word move {i}: support needs node ids")
-            masses = _need(r, "masses", dict, "word move", i)
+            masses = _need(body, "masses", dict, "word move", i)
             try:
                 moves.append(
                     Rearrange(
@@ -262,6 +282,17 @@ def word_from_json(tree: BalloonTree, base: MeasureState, doc: dict) -> MoveWord
                 raise SchemaError(f"word move {i}: {e}") from None
         else:
             raise SchemaError(f"word move {i}: unknown move kind")
+        # a move is one kind key and its body, which holds that kind's keys
+        if len(entry) > 1:
+            _refuse_extra_key(
+                f"word move {i}", entry, (kind,), f" in a {kind} move"
+            )
+        if not body.keys() <= _BODY_KEYS[kind]:
+            _refuse_extra_key(
+                f"word move {i}", body, _BODY_KEYS[kind], f" in its {kind}"
+            )
+    if len(doc) > 1:
+        _refuse_extra_key("word", doc, ("moves",))
     return MoveWord(tree, base, tuple(moves))
 
 

@@ -19,21 +19,16 @@ that forces the flux of a charge.  Two words are considered equal
 extensionally: same final state and same flux field.
 
 A given word is walked one way, :func:`_steps`, which names a failing
-move by its index.  Its replays run on exact integers: :func:`_word_unit`
-gives the lcm U of the denominators the word holds, and the runner counts
-masses and fluxes in units of 1/U, making a ``Fraction`` only for what it
-hands back; runners whose moves are not known before they run keep
-``Fraction`` values (see :class:`_Runner`).
+move by its index.  A replay of a word from its base, :func:`_walk`, runs
+on exact integers: :func:`_word_unit` gives the lcm U of the denominators
+the word holds, and the runner counts masses and fluxes in units of 1/U,
+making a ``Fraction`` only for what it hands back; runners whose moves
+are not known before they run keep ``Fraction`` values (see
+:class:`_Runner`).
 
-A word keeps the end of its own replay: the first reader
-(:func:`apply_word`, :func:`is_measure_preserving`,
-:func:`charge_of_word`, :func:`region_transfer`,
-:func:`extensionally_equal`) replays it and stores the runner on the
-word, and :func:`~endflow.raystar.realize_word` stores the checked
-replay it walks; later readers read that runner and never change it.  A
-replay that raises stores nothing, so every later call raises alike.  A
-walk on a caller's runner (the section's and ``align_step``'s, which go
-on moving their runners) neither reads nor fills the memo.
+A complete walk of a word from its base keeps its end on the word, where
+every later reader finds it; a walk on a caller's runner neither reads
+nor fills it.
 """
 
 from __future__ import annotations
@@ -343,30 +338,27 @@ def _steps(runner: _Runner, word: MoveWord):
         yield move, read
 
 
-def _replay(word: MoveWord, runner: Optional[_Runner] = None) -> _Runner:
-    """The runner at the word's end.
-
-    Given a runner, it is walked on and the word's memo is neither read
-    nor written.  Without one, this is the word's own replay: run once,
-    on the word's unit, and kept on the word (:func:`_keep_end`); its
-    readers must not change it."""
-    if runner is not None:
-        for _ in _steps(runner, word):
-            pass
-        return runner
-    end = vars(word).get("_end")
-    if end is None:
-        end = _replay(word, _Runner(word.base, _word_unit(word)))
-        _keep_end(word, end)
-    return end
-
-
-def _keep_end(word: MoveWord, runner: _Runner) -> None:
-    """Keep ``runner``, a completed replay of the whole word from its base
-    (on a multiple of its unit), as the word's replay.  A frozen
-    dataclass leaves its instance dict writable; the memo is no field, so
-    equality, hashing and ``repr`` do not see it."""
+def _walk(word: MoveWord, unit: Optional[int] = None):
+    """Walk the word from its base on a fresh runner on ``unit`` (the
+    word's :func:`_word_unit` by default), yielding ``(runner, move,
+    read)`` for each move as :func:`_steps` does.  Once every move has
+    been applied the runner is kept as the word's replay; a walk that
+    raises or is abandoned keeps nothing.  A frozen dataclass leaves its
+    instance dict writable, and the kept end is no field, so equality,
+    hashing and ``repr`` do not see it."""
+    runner = _Runner(word.base, unit or _word_unit(word))
+    for move, read in _steps(runner, word):
+        yield runner, move, read
     vars(word)["_end"] = runner
+
+
+def _replay(word: MoveWord) -> _Runner:
+    """The runner at the word's end: the one its last complete walk kept,
+    else a fresh walk's.  Its readers must not change it."""
+    if "_end" not in vars(word):
+        for _ in _walk(word):
+            pass
+    return vars(word)["_end"]
 
 
 def apply_word(word: MoveWord) -> Tuple[MeasureState, FluxField]:
@@ -424,14 +416,13 @@ def invert_word(word: MoveWord) -> MoveWord:
     masses recorded just before they were applied.  The inverse is based
     at the word's final state, so ``concat(w, invert_word(w))`` returns
     to the base with zero flux."""
-    r = _Runner(word.base, _word_unit(word))
     inv: List[Move] = []
-    for m, replaced in _steps(r, word):
+    for r, m, replaced in _walk(word):
         if isinstance(m, Rearrange):
             inv.append(Rearrange(m.support, r._out_all(replaced)))
         else:
             inv.append(BalloonMove(m.edge, -m.amount))
-    return MoveWord(word.tree, r.state(), tuple(reversed(inv)))
+    return MoveWord(word.tree, _replay(word).state(), tuple(reversed(inv)))
 
 
 def region_transfer(word: MoveWord, region: Iterable[str]) -> Fraction:

@@ -213,9 +213,26 @@ def invalid_files(files, star_tree):
     for node in bad_source["source"]["nodes"]:
         if node["id"] == "u":
             node["weight"] = "-2"
+    bad_target = json.loads(json.dumps(morphism))
+    for node in bad_target["target"]["nodes"]:
+        if node["id"] == "u":
+            node["weight"] = "-5"
+    # documents stating keys no loader reads
+    two_kinds = json.loads(json.dumps(word))
+    two_kinds["moves"][0]["rearrange"] = two_kinds["moves"][1]["rearrange"]
+    extra_balloon_key = json.loads(json.dumps(word))
+    extra_balloon_key["moves"][0]["balloon"]["bogus"] = 1
+    extra_rearrange_key = json.loads(json.dumps(word))
+    extra_rearrange_key["moves"][1]["rearrange"]["bogus"] = 1
     docs = {
         "morphism": morphism,
         "bad_source_morphism": bad_source,
+        "bad_target_morphism": bad_target,
+        "two_kinds_word": two_kinds,
+        "extra_balloon_key_word": extra_balloon_key,
+        "extra_rearrange_key_word": extra_rearrange_key,
+        "extra_key_word": dict(word, extra=3),
+        "extra_key_charge": {"values": {"l1": "1", "l2": "-1"}, "extra": 3},
         "measure_nonpositive": nonpositive,
         "measure_no_tails": {"blocks": base["blocks"], "tails": {}},
         "star": serialize.star_to_json(star),
@@ -279,6 +296,27 @@ INVALID_INPUTS = {
     ],
     "validate_nonpositive_source_weight": [
         "validate", "--tree", "{tree}", "--morphism", "{bad_source_morphism}"
+    ],
+    "push_nonpositive_target_weight": [
+        "push", "--morphism", "{bad_target_morphism}"
+    ],
+    "validate_nonpositive_target_weight": [
+        "validate", "--tree", "{tree}", "--morphism", "{bad_target_morphism}"
+    ],
+    "charge_move_of_two_kinds": [
+        "charge", "--tree", "{tree}", "--word", "{two_kinds_word}"
+    ],
+    "charge_extra_balloon_key": [
+        "charge", "--tree", "{tree}", "--word", "{extra_balloon_key_word}"
+    ],
+    "factorize_extra_rearrange_key": [
+        "factorize", "--tree", "{tree}", "--word", "{extra_rearrange_key_word}"
+    ],
+    "charge_extra_word_key": [
+        "charge", "--tree", "{tree}", "--word", "{extra_key_word}"
+    ],
+    "section_extra_charge_key": [
+        "section", "--tree", "{tree}", "--charge", "{extra_key_charge}"
     ],
     "charge_list_in_edge": [
         "charge", "--tree", "{tree}", "--word", "{list_in_edge}"
@@ -359,6 +397,24 @@ LOAD_FAULTS = {
         "on an End leaf"
     ),
     "validate_repeated_charge_key": "validation error: repeated JSON key 'l1'",
+    "push_nonpositive_target_weight": (
+        "validation error: invalid morphism: target tree: "
+        "non-positive weight at 'u'"
+    ),
+    "charge_move_of_two_kinds": (
+        "validation error: word move 0: unexpected key 'rearrange' "
+        "in a balloon move"
+    ),
+    "charge_extra_balloon_key": (
+        "validation error: word move 0: unexpected key 'bogus' in its balloon"
+    ),
+    "factorize_extra_rearrange_key": (
+        "validation error: word move 1: unexpected key 'bogus' in its rearrange"
+    ),
+    "charge_extra_word_key": "validation error: word: unexpected key 'extra'",
+    "section_extra_charge_key": (
+        "validation error: charge: unexpected key 'extra'"
+    ),
     "oracle_star_missing_weight": "validation error: star: block 'r0c0' has no weight",
     "oracle_bool_depth": "validation error: star header: key 'depth' has the wrong type",
     "validate_star_missing_weight": "validation error: star: block 'r0c0' has no weight",
@@ -384,6 +440,17 @@ def test_invalid_input_exits_2_without_traceback(invalid_files, case, argv):
     else:
         assert proc.stdout == ""
         assert proc.stderr.startswith("validation error: invalid ")
+
+
+def test_validate_reports_each_morphism_tree(invalid_files, capsys):
+    validate = ["validate", "--tree", invalid_files["tree"], "--morphism"]
+    assert main(validate + [invalid_files["bad_target_morphism"]]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["valid"] is False
+    assert report["morphism"] == ["target tree: non-positive weight at 'u'"]
+    assert main(validate + [invalid_files["bad_source_morphism"]]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["morphism"] == ["source tree: non-positive weight at 'u'"]
 
 
 def test_nonpositive_star_mass_is_named(invalid_files, capsys):
@@ -761,7 +828,9 @@ def test_mutated_documents_end_in_documented_exit_codes(tmp_path, capsys):
     scenarios = _fuzz_scenarios(8)
     commands = sorted(FUZZ_COMMANDS)
     codes = {}
-    for k in range(1500):
+    # the tree, word and charge loaders refuse a value duplicated under a
+    # foreign key, so such a "dup" ends in the loader
+    for k in range(2500):
         command = commands[k % len(commands)]
         flags = FUZZ_COMMANDS[command]
         docs = json.loads(json.dumps(rng.choice(scenarios)))

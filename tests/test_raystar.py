@@ -21,7 +21,6 @@ from endflow.raystar import (
     compare_oracle,
     image_intervals,
     invert_plmap,
-    iset_intersect,
     iset_mass,
     iset_normalize,
     iset_subtract,
@@ -268,7 +267,6 @@ def test_interval_algebra():
     assert iset_mass(a) == 3
     b = [(0, Fraction(1), Fraction(2))]
     assert iset_subtract(a, b) == [(0, 0, 1), (0, 2, 3)]
-    assert iset_intersect(a, b) == [(0, 1, 2)]
     tail = [(1, Fraction(0), INF)]
     assert iset_mass(tail) is INF
     assert iset_subtract(tail, [(1, Fraction(1), INF)]) == [(1, 0, 1)]

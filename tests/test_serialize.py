@@ -258,6 +258,51 @@ def test_a_bad_amount_is_labeled_once(star_tree, balloon, error):
     assert str(err.value) == f"word move 0: {error}"
 
 
+BALLOON = {"edge": ["r", "u"], "amount": "1"}
+REARRANGE = {"support": ["r", "u"], "masses": {"r": "3", "u": "3"}}
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        (
+            {"moves": [{"balloon": BALLOON, "rearrange": REARRANGE}]},
+            "word move 0: unexpected key 'rearrange' in a balloon move",
+        ),
+        (
+            {"moves": [{"balloon": BALLOON}, {"rearrange": REARRANGE, "x": 1}]},
+            "word move 1: unexpected key 'x' in a rearrange move",
+        ),
+        (
+            {"moves": [{"balloon": dict(BALLOON, bogus=1)}]},
+            "word move 0: unexpected key 'bogus' in its balloon",
+        ),
+        (
+            {"moves": [{"rearrange": dict(REARRANGE, amount="1")}]},
+            "word move 0: unexpected key 'amount' in its rearrange",
+        ),
+        ({"moves": [], "extra": 3}, "word: unexpected key 'extra'"),
+    ],
+    ids=["two_kinds", "extra_move_key", "balloon", "rearrange", "document"],
+)
+def test_a_word_key_no_reader_takes_is_refused(star_tree, doc, error):
+    with pytest.raises(SchemaError) as err:
+        word_from_json(star_tree, base_state(star_tree), doc)
+    assert str(err.value) == error
+
+
+def test_a_charge_key_no_reader_takes_is_refused(star_tree):
+    doc = {"values": {"l1": "1", "l2": "-1"}, "extra": 3}
+    with pytest.raises(SchemaError) as err:
+        charge_from_json(star_tree, doc)
+    assert str(err.value) == "charge: unexpected key 'extra'"
+    # the flat spelling names End leaves only, which EndCharge checks
+    del doc["extra"]
+    assert charge_from_json(star_tree, doc) == charge_from_json(
+        star_tree, doc["values"]
+    )
+
+
 def test_morphism_round_trip():
     rng = Random(72)
     for _ in range(10):

@@ -12,12 +12,16 @@
 * A failing move's index is set on its error in one place:
   ``transport._steps``, the one walk of a word, is the only statement
   that assigns a ``move_index`` attribute.
+* A word's replay is built in one place: ``transport._walk`` is the
+  only code that calls ``_Runner`` with a unit and the only statement
+  that writes a word's ``_end``, so no other module builds a word's
+  runner or stores its end.
 * ``serialize._need`` labels stay lazy: no call passes it a label that
   the call itself formats (an f-string, ``%`` or ``str.format``), which
   would be built for every key read, error or not; a move's index goes
   in as its own argument.
 
-The five scanners are checked on planted source first, so a scanner
+The six scanners are checked on planted source first, so a scanner
 that stopped finding anything would fail rather than pass everything.
 """
 
@@ -163,6 +167,66 @@ def move_index_setters(sources):
     return sorted(out, key=lambda found: (found[0], found[2]))
 
 
+def _is_named(func, name) -> bool:
+    """The call's function is ``name``, bare or as an attribute."""
+    return getattr(func, "id", None) == name or getattr(
+        func, "attr", None
+    ) == name
+
+
+def _replay_build(node):
+    """``"unit runner"`` if the node calls ``_Runner`` with a unit,
+    ``"end write"`` if it writes an ``_end`` (an attribute, a
+    ``vars(x)`` or ``__dict__`` item, or through ``setattr`` or
+    ``object.__setattr__``), else None."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        if _is_named(func, "_Runner") and (
+            len(node.args) > 1 or any(k.arg == "unit" for k in node.keywords)
+        ):
+            return "unit runner"
+        if (
+            (_is_named(func, "setattr") or _is_named(func, "__setattr__"))
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value == "_end"
+        ):
+            return "end write"
+        return None
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return None
+    for target in targets:
+        for n in ast.walk(target):
+            if isinstance(n, ast.Attribute) and n.attr == "_end":
+                return "end write"
+            if (
+                isinstance(n, ast.Subscript)
+                and isinstance(n.slice, ast.Constant)
+                and n.slice.value == "_end"
+            ):
+                return "end write"
+    return None
+
+
+def replay_builders(sources):
+    """``(module, top-level name, line, kind)`` of every call of
+    ``_Runner`` with a unit and every write of an ``_end``, in source
+    order."""
+    out = []
+    for mod, src in sources.items():
+        for stmt in ast.parse(src).body:
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                kind = _replay_build(node)
+                if kind:
+                    out.append((mod, owner, node.lineno, kind))
+    return sorted(out, key=lambda found: (found[0], found[2]))
+
+
 def _formats_a_string(node) -> bool:
     """The expression builds a string by formatting: an f-string, ``%``
     on a string literal or a ``.format`` call."""
@@ -286,6 +350,47 @@ def test_move_index_scanner_finds_planted_setters():
         ("a.py", "Runner", 10),
         ("a.py", "typed", 13),
     ]
+
+
+def test_replay_scanner_finds_planted_builders():
+    src = (
+        "def walk(word, mu, u):\n"
+        "    r = _Runner(mu, u)\n"
+        "    transport._Runner(mu, unit=u)\n"
+        "    _Runner(mu)\n"
+        "    vars(word)['_end'] = r\n"
+        "    end = vars(word)['_end']\n"
+        "    _end = end\n"
+        "class Keeper:\n"
+        "    def keep(self, word, r):\n"
+        "        word._end = r\n"
+        "        word.__dict__['_end'] = r\n"
+        "        setattr(word, '_end', r)\n"
+        "        object.__setattr__(word, '_end', r)\n"
+        "        setattr(word, 'end', r)\n"
+        "        (word._end, x) = (r, 1)\n"
+        "def typed(word, r):\n"
+        "    word._end: object = r\n"
+    )
+    assert replay_builders({"a.py": src}) == [
+        ("a.py", "walk", 2, "unit runner"),
+        ("a.py", "walk", 3, "unit runner"),
+        ("a.py", "walk", 5, "end write"),
+        ("a.py", "Keeper", 10, "end write"),
+        ("a.py", "Keeper", 11, "end write"),
+        ("a.py", "Keeper", 12, "end write"),
+        ("a.py", "Keeper", 13, "end write"),
+        ("a.py", "Keeper", 15, "end write"),
+        ("a.py", "typed", 17, "end write"),
+    ]
+
+
+def test_a_words_replay_is_built_in_one_place():
+    found = replay_builders(_package_sources())
+    assert [(mod, owner, kind) for mod, owner, _, kind in found] == [
+        ("transport.py", "_walk", "unit runner"),
+        ("transport.py", "_walk", "end write"),
+    ], found
 
 
 def test_need_label_scanner_finds_planted_formatting():

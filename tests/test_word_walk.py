@@ -4,9 +4,12 @@
   every function that replays it.
 * The 1-D oracle reads the realized map and the flux charge off one
   replay: each move is applied once per request.
-* A word keeps the end of its own replay, so every reader of a word
-  shares one walk; a walk on a caller's runner (``align_step``) neither
-  reads nor fills it, nor does ``build_section``.
+* A complete walk of a word from its base (``transport._walk``) keeps
+  its end, so every reader and walker of a word shares one walk
+  (``check_diagram``, ``invert_word``, ``push_word``, ``realize_word``);
+  a walk that raises or is abandoned keeps nothing, and a walk on a
+  caller's runner (``align_step``) neither reads nor fills it, nor does
+  ``build_section``.
 """
 
 import json
@@ -17,29 +20,42 @@ import pytest
 
 from endflow import serialize, transport
 from endflow.cli import main
-from endflow.errors import NonPositiveBlockError
+from endflow.errors import NonPositiveBlockError, NotLiftableError
 from endflow.extmath import INF
 from endflow.charge import EndCharge
 from endflow.gen import (
+    random_morphism,
     random_preserving_word,
     random_star,
     random_tree,
     random_valid_charge,
 )
 from endflow.measure import base_state
-from endflow.morphism import identity_morphism, push_word
-from endflow.raystar import RayStar, compare_oracle, realize_word
+from endflow.morphism import (
+    TreeMorphism,
+    check_diagram,
+    identity_morphism,
+    push_word,
+)
+from endflow.raystar import (
+    RayStar,
+    charge_from_definition,
+    compare_oracle,
+    realize_word,
+)
 from endflow.section import align_step, build_section
 from endflow.transport import (
     BalloonMove,
     MoveWord,
     apply_word,
     charge_of_word,
+    empty_word,
     extensionally_equal,
     invert_word,
     is_measure_preserving,
     region_transfer,
 )
+from endflow.tree import BalloonTree
 
 TWO_RAYS = RayStar(Fraction(2), ((Fraction(1),), (Fraction(1),)), (INF, INF))
 
@@ -241,3 +257,75 @@ def test_a_replayed_word_equals_a_fresh_copy():
     fresh = _copy(word)
     assert word == fresh and fresh == word
     assert repr(word) == repr(fresh) == before
+
+
+def _diagram_case(seed):
+    rng = Random(seed)
+    pi = random_morphism(rng)
+    mu = base_state(pi.source)
+    word = random_preserving_word(rng, pi.source, mu, avoid=pi.collapsed_nodes)
+    return pi, mu, word
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_check_diagram_walks_each_word_once(seed, counted_applies):
+    pi, mu, word = _diagram_case(seed)
+    pushed = push_word(pi, _copy(word))
+    assert word.moves
+    counted_applies.clear()
+    assert check_diagram(pi, mu, word)
+    assert counted_applies == list(word.moves) + list(pushed.moves)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_invert_then_charge_applies_each_move_once(seed, counted_applies):
+    _, word = _oracle_case(seed)
+    counted_applies.clear()
+    inverse = invert_word(word)
+    charge = charge_of_word(word)
+    assert counted_applies == list(word.moves)
+    fresh = _copy(word)
+    assert inverse == invert_word(fresh)
+    assert charge == charge_of_word(fresh)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_push_then_charge_shares_one_walk(seed, counted_applies):
+    pi, _, word = _diagram_case(seed)
+    counted_applies.clear()
+    pushed = push_word(pi, word)
+    charge = charge_of_word(word)
+    assert counted_applies == list(word.moves)
+    fresh = _copy(word)
+    assert pushed == push_word(pi, fresh)
+    assert charge == charge_of_word(fresh)
+
+
+def test_an_abandoned_walk_keeps_nothing(counted_applies):
+    # c and r0c0 collapse onto c; move 1 crosses the collapsed edge
+    target = BalloonTree(
+        root="c",
+        children={"c": ("r0e", "r1c0"), "r1c0": ("r1e",)},
+        weights={"c": Fraction(3), "r1c0": Fraction(1)},
+        tails={"r0e": INF, "r1e": INF},
+    )
+    pi = TreeMorphism(TREE, target, {v: v for v in TREE.nodes} | {"r0c0": "c"})
+    assert pi.validate() == []
+    word = MoveWord(TREE, base_state(TREE), (
+        BalloonMove(("c", "r1c0"), Fraction(1, 2)),
+        BalloonMove(("c", "r0c0"), Fraction(1, 4)),
+    ))
+    with pytest.raises(NotLiftableError):
+        push_word(pi, word)
+    counted_applies.clear()
+    apply_word(word)
+    assert counted_applies == list(word.moves)
+
+
+def test_an_empty_word_is_walked_and_kept():
+    # invert_word and realize_word read the end of a walk of no moves
+    word = empty_word(base_state(TREE))
+    assert invert_word(word) == word
+    assert "_end" in vars(word)
+    h = realize_word(TWO_RAYS, _copy(word))
+    assert charge_from_definition(TWO_RAYS, h, 2).is_zero()
