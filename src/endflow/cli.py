@@ -300,11 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tree=True, measure=True):
-        if tree:
-            p.add_argument("--tree", required=True)
-        if measure:
-            p.add_argument("--measure")
+    def common(p):
+        p.add_argument("--tree", required=True)
+        p.add_argument("--measure")
         p.add_argument("--out")
 
     p = sub.add_parser("validate", help="validate input files")

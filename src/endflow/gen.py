@@ -18,7 +18,7 @@ from .extmath import INF, ExtMass, is_inf
 from .measure import MeasureState, base_state
 from .morphism import TreeMorphism
 from .raystar import RayStar
-from .transport import MoveWord, Rearrange, _Runner, route
+from .transport import MoveWord, Rearrange, route
 from .tree import BalloonTree
 
 
@@ -156,13 +156,13 @@ def _connected_block_patch(rng: Random, tree: BalloonTree) -> frozenset:
 
 
 def _random_shuffle_move(
-    rng: Random, tree: BalloonTree, runner: _Runner, avoid: frozenset
+    rng: Random, tree: BalloonTree, blocks: dict, avoid: frozenset
 ) -> Optional[Rearrange]:
     patch = _connected_block_patch(rng, tree)
     patch = frozenset(v for v in patch if v not in avoid)
     if len(patch) < 2 or tree.top(patch) is None:
         return None
-    total = sum((runner.blocks[v] for v in patch), Fraction(0))
+    total = sum((blocks[v] for v in patch), Fraction(0))
     order = sorted(patch)
     weights = {v: rng.randint(1, 6) for v in order}
     wsum = sum(weights.values())
@@ -189,14 +189,16 @@ def random_preserving_word(
     shuffles that are undone afterwards.  ``avoid`` excludes nodes from
     shuffle supports and transfer routes (used for liftable words)."""
     mu = mu if mu is not None else base_state(tree)
-    runner = _Runner(mu)
+    # block masses after the shuffles so far; a transfer changes no block
+    blocks = dict(mu.blocks)
     moves: List = []
     undo: List[Rearrange] = []
     for _ in range(shuffles):
-        mv = _random_shuffle_move(rng, tree, runner, avoid)
+        mv = _random_shuffle_move(rng, tree, blocks, avoid)
         if mv is None:
             continue
-        undo.append(Rearrange(mv.support, runner.apply(mv)))
+        undo.append(Rearrange(mv.support, {v: blocks[v] for v in mv.support}))
+        blocks.update(mv.masses)
         moves.append(mv)
     infinite = [
         v
@@ -210,12 +212,8 @@ def random_preserving_word(
         src, dst = rng.sample(infinite, 2)
         if set(tree.path(src, dst)) & avoid:
             continue
-        for mv in route(tree, src, dst, small_fraction(rng)):
-            runner.apply(mv)
-            moves.append(mv)
-    for mv in reversed(undo):
-        runner.apply(mv)
-        moves.append(mv)
+        moves += route(tree, src, dst, small_fraction(rng))
+    moves += reversed(undo)
     return MoveWord(tree, mu, tuple(moves))
 
 

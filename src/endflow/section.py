@@ -16,7 +16,8 @@ target there is the charge's subtree sum at that root, the same
 :func:`build_section` computes that table once, carries the two
 evaluation states of f and g across the levels and collects each word's
 moves, building the words once at the end; the public :func:`align_step`
-replays two given words and runs one level through the same core.
+starts from the ends of two given words and runs one level through the
+same core.
 Along with the states, :func:`build_section` carries the blocks the last
 level added or touched, so a level pays for the blocks it adds and the
 moves it makes rather than for the cut it starts from; the one cost
@@ -48,7 +49,7 @@ from .transport import (
     MoveWord,
     Rearrange,
     _Runner,
-    _steps,
+    apply_word,
     charge_of_word,
     concat,
     empty_word,
@@ -394,21 +395,21 @@ def align_step(
     such that word+h matches the target word's state on the outer cut and
     hits the charge's transfer targets on every component beyond it.
 
-    Both words are replayed from the shared base measure, the two cuts
-    are checked, and the level is computed by the same core
-    :func:`build_section` runs on its carried states, with the same
-    hypothesis checks (see :func:`_align`).
+    Both words start from their ends (:func:`apply_word`, which keeps
+    them on the words), the two cuts are checked, and the level is
+    computed by the same core :func:`build_section` runs on its carried
+    states, with the same hypothesis checks (see :func:`_align`).
     """
     tree = mu.tree
     if word.tree != tree or target_word.tree != tree or charge.tree != tree:
         raise TreeMismatchError("alignment inputs live on different trees")
     if word.base != mu or target_word.base != mu:
         raise AlignPreconditionError("words must be based at the given measure")
-    # Fraction runners: the level's moves need not be whole units of a word
-    runner, target_runner = _Runner(mu), _Runner(mu)
-    for r, w in ((runner, word), (target_runner, target_word)):
-        for _ in _steps(r, w):
-            pass
+    # Fraction runners from the words' ends: the level's moves need not be
+    # whole units of a word
+    ends = [apply_word(w) for w in (word, target_word)]
+    runner, target_runner = (_Runner(state) for state, _ in ends)
+    runner.flux, target_runner.flux = (dict(flux.flux) for _, flux in ends)
     inner = check_region(tree, inner)
     outer = check_region(tree, outer)
     for name, cut in (("inner", inner), ("outer", outer)):

@@ -18,17 +18,14 @@ mass changes (:meth:`BalloonTree.sums_below`), the same Kirchhoff sum
 that forces the flux of a charge.  Two words are considered equal
 extensionally: same final state and same flux field.
 
-A given word is walked one way, :func:`_steps`, which names a failing
-move by its index.  A replay of a word from its base, :func:`_walk`, runs
-on exact integers: :func:`_word_unit` gives the lcm U of the denominators
-the word holds, and the runner counts masses and fluxes in units of 1/U,
-making a ``Fraction`` only for what it hands back; runners whose moves
-are not known before they run keep ``Fraction`` values (see
-:class:`_Runner`).
-
-A complete walk of a word from its base keeps its end on the word, where
-every later reader finds it; a walk on a caller's runner neither reads
-nor fills it.
+A given word is walked one way, :func:`_walk`, from its base, naming a
+failing move by its index.  The walk runs on exact integers:
+:func:`_word_unit` gives the lcm U of the denominators the word holds,
+and the runner counts masses and fluxes in units of 1/U, making a
+``Fraction`` only for what it hands back.  Only the section's runners,
+whose moves are not known before they run, keep ``Fraction`` values (see
+:class:`_Runner`).  Every complete walk of a word keeps its end on the
+word, where every later reader finds it.
 """
 
 from __future__ import annotations
@@ -146,10 +143,9 @@ class _Runner:
     :func:`_word_unit` guarantees for the replay of a given word.  Each
     amount is read in once (:meth:`_in`), and a Fraction is made only on
     the way out (:meth:`_out`): the state, the flux field, the node masses
-    and error texts.  A runner without a unit keeps Fractions; that is
-    what runners whose amounts are not known before they run use (the
-    section's runners and ``align_step``'s replays, random words,
-    :func:`apply_move`).  :func:`_steps` walks a word on either kind.
+    and error texts.  A runner without a unit keeps Fractions; only the
+    section's runners are built so, since the moves they schedule are not
+    known before they run.  The checks are the same code on either kind.
     """
 
     __slots__ = ("tree", "unit", "blocks", "tails", "flux")
@@ -317,37 +313,33 @@ def _word_unit(word: MoveWord) -> int:
 def apply_move(
     mu: MeasureState, flux: FluxField, move: Move
 ) -> Tuple[MeasureState, FluxField]:
-    """Apply one move to a state and flux field, returning new values."""
-    r = _Runner(mu)
-    r.flux = dict(flux.flux)
-    r.apply(move)
-    return r.state(), r.flux_field()
+    """Apply one move to a state and flux field, returning new values: the
+    one-move word's end, with ``flux`` added to its flux."""
+    if flux.tree != mu.tree:
+        raise TreeMismatchError("flux field belongs to a different tree")
+    state, moved = apply_word(MoveWord(mu.tree, mu, (move,)))
+    return state, FluxField(
+        mu.tree, {e: x + moved[e] for e, x in flux.flux.items()}
+    )
 
 
-def _steps(runner: _Runner, word: MoveWord):
-    """Apply the word's moves to the runner in order, yielding each move
-    with what :meth:`_Runner.apply` read for it.  This is the one walk of
-    a given word: an error raised by a move carries its index in
-    ``move_index``."""
+def _walk(word: MoveWord, unit: Optional[int] = None):
+    """Walk the word from its base on a fresh runner on ``unit`` (the
+    word's :func:`_word_unit` by default), yielding ``(runner, move,
+    read)`` for each move in order, with what :meth:`_Runner.apply` read
+    for it.  This is the one walk of a given word: an error raised by a
+    move carries its index in ``move_index``.  Once every move has been
+    applied the runner is kept as the word's replay; a walk that raises or
+    is abandoned keeps nothing.  A frozen dataclass leaves its instance
+    dict writable, and the kept end is no field, so equality, hashing and
+    ``repr`` do not see it."""
+    runner = _Runner(word.base, unit or _word_unit(word))
     for i, move in enumerate(word.moves):
         try:
             read = runner.apply(move)
         except Exception as e:
             e.move_index = i
             raise
-        yield move, read
-
-
-def _walk(word: MoveWord, unit: Optional[int] = None):
-    """Walk the word from its base on a fresh runner on ``unit`` (the
-    word's :func:`_word_unit` by default), yielding ``(runner, move,
-    read)`` for each move as :func:`_steps` does.  Once every move has
-    been applied the runner is kept as the word's replay; a walk that
-    raises or is abandoned keeps nothing.  A frozen dataclass leaves its
-    instance dict writable, and the kept end is no field, so equality,
-    hashing and ``repr`` do not see it."""
-    runner = _Runner(word.base, unit or _word_unit(word))
-    for move, read in _steps(runner, word):
         yield runner, move, read
     vars(word)["_end"] = runner
 

@@ -250,9 +250,8 @@ def validate_tree(t: BalloonTree) -> list:
         reachable.add(v)
         # a child listed twice is reported above, not as a cycle
         stack.extend(dict.fromkeys(t.children.get(v, ())))
-    for v in ids:
-        if v not in reachable:
-            out.append(f"node {v!r} unreachable from root")
+    for v in sorted(ids - reachable):
+        out.append(f"node {v!r} unreachable from root")
 
     tagged = set(t.tails) | set(t.closed)
     for v in sorted(ids & reachable):

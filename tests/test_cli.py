@@ -114,16 +114,36 @@ def test_section_rejects_bad_charge(files, tmp_path, capsys):
     assert main(["section", "--tree", files["tree"], "--charge", str(bad)]) == 2
 
 
-def _run_cli(*argv):
+def _run_cli(*argv, hash_seed=None):
     """Run the CLI as a user does, in a fresh interpreter."""
     src = Path(__file__).resolve().parents[1] / "src"
+    env = {"PYTHONPATH": str(src)}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     return subprocess.run(
         [sys.executable, "-m", "endflow.cli", *argv],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(src)},
+        env=env,
         timeout=60,
     )
+
+
+def test_validate_output_ignores_hash_seed(tmp_path):
+    """Unreachable nodes are listed in the same order in every process."""
+    nodes = [
+        {"id": "a", "weight": "1", "children": ["e"]},
+        {"id": "e", "children": [], "leaf": {"kind": "end", "tail": "inf"}},
+    ] + [{"id": v, "weight": "1", "children": []} for v in ("n2", "n3", "n4")]
+    p = tmp_path / "unreachable.json"
+    p.write_text(json.dumps({"root": "a", "nodes": nodes}))
+    runs = [_run_cli("validate", "--tree", str(p), hash_seed=s) for s in "01"]
+    assert [r.returncode for r in runs] == [2, 2]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stderr == runs[1].stderr
+    assert json.loads(runs[0].stdout)["tree"] == [
+        f"node {v!r} unreachable from root" for v in ("n2", "n3", "n4")
+    ]
 
 
 @pytest.mark.parametrize("doc", [[1, 2], "l1", 3, None])

@@ -10,18 +10,20 @@
   statement, so a method named only by another method of its class
   counts, and one named only by itself does not.
 * A failing move's index is set on its error in one place:
-  ``transport._steps``, the one walk of a word, is the only statement
+  ``transport._walk``, the one walk of a word, is the only statement
   that assigns a ``move_index`` attribute.
 * A word's replay is built in one place: ``transport._walk`` is the
   only code that calls ``_Runner`` with a unit and the only statement
   that writes a word's ``_end``, so no other module builds a word's
   runner or stores its end.
+* Only the section schedules on Fractions: every call of ``_Runner``
+  without a unit is in ``section.py``.
 * ``serialize._need`` labels stay lazy: no call passes it a label that
   the call itself formats (an f-string, ``%`` or ``str.format``), which
   would be built for every key read, error or not; a move's index goes
   in as its own argument.
 
-The six scanners are checked on planted source first, so a scanner
+The seven scanners are checked on planted source first, so a scanner
 that stopped finding anything would fail rather than pass everything.
 """
 
@@ -174,6 +176,11 @@ def _is_named(func, name) -> bool:
     ) == name
 
 
+def _passes_a_unit(call) -> bool:
+    """The ``_Runner`` call passes a unit, by position or keyword."""
+    return len(call.args) > 1 or any(k.arg == "unit" for k in call.keywords)
+
+
 def _replay_build(node):
     """``"unit runner"`` if the node calls ``_Runner`` with a unit,
     ``"end write"`` if it writes an ``_end`` (an attribute, a
@@ -181,9 +188,7 @@ def _replay_build(node):
     ``object.__setattr__``), else None."""
     if isinstance(node, ast.Call):
         func = node.func
-        if _is_named(func, "_Runner") and (
-            len(node.args) > 1 or any(k.arg == "unit" for k in node.keywords)
-        ):
+        if _is_named(func, "_Runner") and _passes_a_unit(node):
             return "unit runner"
         if (
             (_is_named(func, "setattr") or _is_named(func, "__setattr__"))
@@ -224,6 +229,23 @@ def replay_builders(sources):
                 kind = _replay_build(node)
                 if kind:
                     out.append((mod, owner, node.lineno, kind))
+    return sorted(out, key=lambda found: (found[0], found[2]))
+
+
+def fraction_runners(sources):
+    """``(module, top-level name, line)`` of every call of ``_Runner``
+    without a unit, in source order."""
+    out = []
+    for mod, src in sources.items():
+        for stmt in ast.parse(src).body:
+            owner = getattr(stmt, "name", None)
+            out += [
+                (mod, owner, node.lineno)
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Call)
+                and _is_named(node.func, "_Runner")
+                and not _passes_a_unit(node)
+            ]
     return sorted(out, key=lambda found: (found[0], found[2]))
 
 
@@ -393,6 +415,30 @@ def test_a_words_replay_is_built_in_one_place():
     ], found
 
 
+def test_fraction_runner_scanner_finds_planted_runners():
+    src = (
+        "def walk(mu, u):\n"
+        "    r = _Runner(mu)\n"
+        "    _Runner(mu, u)\n"
+        "    transport._Runner(mu, unit=u)\n"
+        "    return transport._Runner(mu)\n"
+        "class Keeper:\n"
+        "    def keep(self, mu):\n"
+        "        self.r = _Runner(mu)\n"
+        "        Runner(mu)\n"
+    )
+    assert fraction_runners({"a.py": src}) == [
+        ("a.py", "walk", 2),
+        ("a.py", "walk", 5),
+        ("a.py", "Keeper", 8),
+    ]
+
+
+def test_only_the_section_builds_fraction_runners():
+    found = fraction_runners(_package_sources())
+    assert found and {mod for mod, _, _ in found} == {"section.py"}, found
+
+
 def test_need_label_scanner_finds_planted_formatting():
     src = (
         "def load(doc, i):\n"
@@ -421,7 +467,7 @@ def test_need_labels_are_formatted_only_on_error():
 def test_move_index_is_set_in_one_place():
     found = move_index_setters(_package_sources())
     assert [(mod, owner) for mod, owner, _ in found] == [
-        ("transport.py", "_steps")
+        ("transport.py", "_walk")
     ], found
 
 

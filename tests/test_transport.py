@@ -10,6 +10,7 @@ from endflow.errors import (
     ChargeUndefinedError,
     MassNotConservedError,
     NonPositiveBlockError,
+    TreeMismatchError,
 )
 from endflow.gen import random_preserving_word, random_region, random_tree
 from endflow.measure import base_state
@@ -105,6 +106,45 @@ def test_rearrange_guards(star_tree):
         with pytest.raises(err) as inverted:
             invert_word(MoveWord(star_tree, mu, (mv,)))
         assert str(inverted.value) == str(applied.value)
+
+
+# the moves the tests above hand to apply_move, the failing ones included
+APPLY_MOVE_CASES = [
+    BalloonMove(("r", "u"), Fraction(3)),
+    Rearrange(
+        frozenset({"r", "u", "v"}),
+        {"r": Fraction(4), "u": Fraction(2), "v": Fraction(1)},
+    ),
+    BalloonMove(("r", "v"), Fraction(-3)),
+    Rearrange(frozenset({"r", "u"}), {"r": Fraction(1), "u": Fraction(1)}),
+    Rearrange(frozenset({"u", "v"}), {"u": Fraction(2), "v": Fraction(1)}),
+    Rearrange(frozenset({"r", "l3"}), {"r": Fraction(4), "l3": Fraction(5)}),
+]
+
+
+@pytest.mark.parametrize("move", APPLY_MOVE_CASES)
+def test_apply_move_is_the_one_move_word_plus_the_flux(star_tree, move):
+    mu = base_state(star_tree)
+    flux = FluxField(
+        star_tree, {("r", "v"): Fraction(1, 2), ("u", "l1"): Fraction(-2)}
+    )
+    word = MoveWord(star_tree, mu, (move,))
+    try:
+        state, moved = apply_word(word)
+    except Exception as err:
+        with pytest.raises(type(err)) as applied:
+            apply_move(mu, flux, move)
+        assert str(applied.value) == str(err)
+        assert applied.value.move_index == err.move_index == 0
+        return
+    total = {e: flux[e] + moved[e] for e in star_tree.edges}
+    assert apply_move(mu, flux, move) == (state, FluxField(star_tree, total))
+
+
+def test_apply_move_refuses_a_flux_of_another_tree(star_tree):
+    zero = FluxField(random_tree(Random(0)), {})
+    with pytest.raises(TreeMismatchError, match="flux field"):
+        apply_move(base_state(star_tree), zero, BalloonMove(("r", "u"), 1))
 
 
 def test_empty_word_is_identity(star_tree):

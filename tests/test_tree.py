@@ -67,6 +67,18 @@ def test_unreachable_and_multiparent_flagged():
     assert any("unreachable" in p for p in problems)
 
 
+def test_unreachable_nodes_are_reported_in_sorted_order():
+    t = BalloonTree(
+        root="a",
+        children={"a": ("e",)},
+        weights={v: Fraction(1) for v in ("a", "n4", "n2", "n3")},
+        tails={"e": INF},
+    )
+    assert validate_tree(t) == [
+        f"node {v!r} unreachable from root" for v in ("n2", "n3", "n4")
+    ]
+
+
 def test_a_child_listed_twice_is_no_cycle():
     t = BalloonTree(
         root="a",

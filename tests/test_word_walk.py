@@ -1,15 +1,14 @@
-"""Every walk of a given word goes through ``transport._steps``.
+"""Every walk of a given word goes through ``transport._walk``.
 
 * A word whose move fails is reported with the same ``move_index`` by
   every function that replays it.
 * The 1-D oracle reads the realized map and the flux charge off one
   replay: each move is applied once per request.
-* A complete walk of a word from its base (``transport._walk``) keeps
-  its end, so every reader and walker of a word shares one walk
-  (``check_diagram``, ``invert_word``, ``push_word``, ``realize_word``);
-  a walk that raises or is abandoned keeps nothing, and a walk on a
-  caller's runner (``align_step``) neither reads nor fills it, nor does
-  ``build_section``.
+* Every complete walk of a word from its base keeps its end, so every
+  reader and walker of a word shares one walk (``align_step``,
+  ``check_diagram``, ``invert_word``, ``push_word``, ``realize_word``);
+  a walk that raises or is abandoned keeps nothing.  ``align_step``
+  starts its level from its words' ends and never changes them.
 """
 
 import json
@@ -61,6 +60,9 @@ TWO_RAYS = RayStar(Fraction(2), ((Fraction(1),), (Fraction(1),)), (INF, INF))
 
 
 TREE = TWO_RAYS.to_tree()
+# a charge the two rays admit, moving mass from the first end to the second
+CHARGE = EndCharge(TREE, {"r0e": Fraction(1), "r1e": Fraction(-1)})
+OUTER = frozenset({"c", "r0c0", "r1c0"})
 WALKERS = {
     "apply_word": apply_word,
     "charge_of_word": charge_of_word,
@@ -70,6 +72,7 @@ WALKERS = {
     "push_word": lambda w: push_word(identity_morphism(TREE), w),
     "realize_word": lambda w: realize_word(TWO_RAYS, w),
     "compare_oracle": lambda w: compare_oracle(TWO_RAYS, w),
+    "align_step": lambda w: _align(w.base, w, empty_word(w.base)),
 }
 
 
@@ -205,37 +208,41 @@ def _align_case():
     mu = base_state(TREE)
     word = MoveWord(TREE, mu, (BalloonMove(("c", "r0c0"), Fraction(1, 2)),))
     target = MoveWord(TREE, mu, (BalloonMove(("c", "r1c0"), Fraction(1, 3)),))
-    charge = EndCharge(TREE, {"r0e": Fraction(1), "r1e": Fraction(-1)})
-    return mu, word, target, charge
+    return mu, word, target
 
 
-def _align(mu, word, target, charge):
-    return align_step(
-        mu, frozenset(), frozenset({"c", "r0c0", "r1c0"}), word, target, charge
-    )
+def _align(mu, word, target):
+    return align_step(mu, frozenset(), OUTER, word, target, CHARGE)
 
 
-def test_align_step_does_not_fill_the_words_replay(counted_applies):
-    mu, word, target, charge = _align_case()
-    _align(mu, word, target, charge)
-    for w in (word, target):
-        counted_applies.clear()
-        apply_word(w)
-        assert counted_applies == list(w.moves)
-
-
-def test_align_step_does_not_read_or_change_the_words_replay(counted_applies):
-    mu, word, target, charge = _align_case()
+def test_align_step_keeps_its_words_ends(counted_applies):
+    mu, word, target = _align_case()
+    _align(mu, word, target)
+    counted_applies.clear()
     ends = [apply_word(w) for w in (word, target)]
-    counted_applies.clear()
-    h = _align(mu, word, target, charge)
-    # both words walked afresh, then the level's own moves, if any
-    walked = list(word.moves) + list(target.moves)
-    assert counted_applies[: len(walked)] == walked
-    assert h == _align(mu, _copy(word), _copy(target), charge)
-    counted_applies.clear()
-    assert [apply_word(w) for w in (word, target)] == ends
     assert counted_applies == []
+    assert ends == [apply_word(_copy(w)) for w in (word, target)]
+
+
+def test_align_step_from_kept_ends_applies_only_its_level(counted_applies):
+    mu, word, target = _align_case()
+    for w in (word, target):
+        apply_word(w)
+    counted_applies.clear()
+    h = _align(mu, word, target)
+    assert h.moves
+    assert counted_applies == list(h.moves)
+    assert h == _align(mu, _copy(word), _copy(target))
+
+
+def test_align_step_never_changes_a_kept_end():
+    mu, word, target = _align_case()
+    ends = [apply_word(w) for w in (word, target)]
+    kept = [vars(w)["_end"] for w in (word, target)]
+    for _ in range(2):
+        _align(mu, word, target)
+        assert all(vars(w)["_end"] is r for w, r in zip((word, target), kept))
+        assert [apply_word(w) for w in (word, target)] == ends
 
 
 def test_a_section_charge_is_its_own_replay(counted_applies):
