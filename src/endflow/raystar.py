@@ -11,8 +11,10 @@ queues: each fixed region (the center, each cell, each tail) keeps the
 ordered source segments the map sends onto it, and an edge transfer moves
 the segments holding its amount across the edge.  The queues count exact
 integer units 1/U, with U the least common multiple of the denominators
-of the star's interval ends and of the word's base masses, amounts and
-rearranged masses; every edge move is a whole number of units, the
+of the star's masses and of the word's base masses, amounts and
+rearranged masses (the star adds nothing to a word based at its
+measure), and the regions are laid out on U by int prefix sums of the
+star's masses; every edge move is a whole number of units, the
 replay that checks the word runs on the same unit and hands the queues
 each amount it read (a shuffle is decomposed on its ints), and the
 pieces are converted back to Fractions once.  A pool segment stands in
@@ -116,7 +118,10 @@ class RayStar:
         return len(self.cells[0])
 
     def ray_length(self, i: int) -> ExtMass:
-        return self.node_intervals[self.end_id(i)][2]
+        """Mass of ray ``i``, its cells and its tail: ``INF`` for an
+        infinite tail."""
+        tail = self.tails[i]
+        return tail if is_inf(tail) else sum(self.cells[i], tail)
 
     @cached_property
     def node_intervals(self) -> Dict[str, Tuple[int, Fraction, ExtMass]]:
@@ -331,6 +336,10 @@ def _merge_pieces(pieces):
 
 
 def iset_normalize(iset):
+    """The set as disjoint, non-touching ``(loc, lo, hi)`` tuples, sorted by
+    location and start, empty intervals dropped; a fresh list."""
+    if len(iset) < 2:
+        return [(loc, lo, hi) for (loc, lo, hi) in iset if lo < hi]
     by_loc: dict = {}
     for (loc, lo, hi) in iset:
         if lo < hi:
@@ -484,12 +493,16 @@ class _PLBuilder:
     onto it.
 
     Queues hold exact ints counting units 1/U, where U is the least common
-    multiple of ``unit`` and the denominators of the star's finite
-    interval ends.  :meth:`_shift` is the one way in: it takes a star
-    edge and an int count of units, both checked and read by the runner
-    :func:`realize_word` builds on the same unit, so the builder neither
-    checks an edge nor converts an amount.  ``to_plmap`` converts back to
-    Fractions once per piece.
+    multiple of ``unit`` and the denominators of the star's masses (its
+    center, cells and finite tails): ``unit`` itself when it is the unit
+    of a word based at the star's measure.  Every interval end is a sum of
+    masses, so ``intervals`` (:attr:`RayStar.node_intervals` in units, in
+    the same key order) is built by int prefix sums of the masses, and no
+    Fraction interval is computed.  :meth:`_shift` is the one way in: it
+    takes a star edge and an int count of units, both checked and read by
+    the runner :func:`realize_word` builds on the same unit, so the
+    builder neither checks an edge nor converts an amount.  ``to_plmap``
+    converts back to Fractions once per piece.
 
     An edge move of amount d > 0 takes the segments holding the last d of
     mass of the parent's region and puts them, in order, in front of the
@@ -502,19 +515,23 @@ class _PLBuilder:
 
     def __init__(self, star: RayStar, unit: int):
         self.star = star
-        self.unit = math.lcm(
-            unit,
-            *(
-                x.denominator
-                for (_, lo, hi) in star.node_intervals.values()
-                for x in (lo, hi)
-                if not is_inf(x)
-            ),
-        )
+        dens = {star.center_mass.denominator}
+        dens.update(m.denominator for ray in star.cells for m in ray)
+        dens.update(m.denominator for m in star.tails if not is_inf(m))
+        self.unit = u = math.lcm(unit, *dens)
+        # the center, then each ray's cells and End leaf, by prefix sums
         self.intervals = {
-            v: (loc, _in_units(lo, self.unit), _in_units(hi, self.unit))
-            for v, (loc, lo, hi) in star.node_intervals.items()
+            star.center_id(): (
+                star.ray_count, 0, _in_units(star.center_mass, u)
+            )
         }
+        for i, (ray, tail) in enumerate(zip(star.cells, star.tails)):
+            lo = 0
+            for k, m in enumerate(ray):
+                hi = lo + _in_units(m, u)
+                self.intervals[star.cell_id(i, k)] = (i, lo, hi)
+                lo = hi
+            self.intervals[star.end_id(i)] = (i, lo, lo + _in_units(tail, u))
         self.queues = {
             v: [(loc, lo, hi - lo, 1)]
             for v, (loc, lo, hi) in self.intervals.items()

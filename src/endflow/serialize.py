@@ -3,16 +3,17 @@
 Rationals are strings "p/q" (reduced; plain "p" when integral) and "inf"
 is the only infinity token.  Loaders raise SchemaError on malformed
 documents; semantic validation stays with the domain types.  The tree,
-word and charge loaders drop no key unread.  A tree node entry needs
+word, charge and star loaders drop no key unread.  A tree node entry needs
 children, a weight or a leaf tag, and holds no other key: an End leaf
 takes no weight, and a leaf tag holds its ``kind`` and, for an End leaf,
 its ``tail``.  A word holds its ``moves`` alone, each move exactly one of
 ``balloon`` (an ``edge`` and an ``amount``) and ``rearrange`` (a
 ``support`` and its ``masses``); a charge is a flat map of End leaves or
-``values`` alone.  A star document must be the star's canonical tree: a
-relabeled tree, swapped rays or cells, an unfitting header, a shared
-end, an end with a child, a stray node or a Closed leaf is a SchemaError
-naming the first node where it differs.
+``values`` alone.  A star document holds its tree's ``root`` and
+``nodes`` and a ``star`` header of ``rays`` and ``depth``, and must be the
+star's canonical tree: a relabeled tree, swapped rays or cells, an
+unfitting header, a shared end, an end with a child, a stray node or a
+Closed leaf is a SchemaError naming the first node where it differs.
 """
 
 from __future__ import annotations
@@ -327,15 +328,27 @@ def star_to_json(star: RayStar) -> dict:
     return doc
 
 
+# the keys of a star document and of its header
+_STAR_KEYS = frozenset({"root", "nodes", "star"})
+_HEADER_KEYS = frozenset({"rays", "depth"})
+
+
 def star_from_json(doc: dict) -> RayStar:
     header = _need(doc, "star", dict, "star")
     rays = _need(header, "rays", int, "star header")
     depth = _need(header, "depth", int, "star header")
     tree = tree_from_json(doc)
     try:
-        return RayStar.from_tree(tree, rays, depth)
+        star = RayStar.from_tree(tree, rays, depth)
     except NonPositiveMassError:
         # a well-formed star with a bad mass: left to the caller to report
         raise
     except ValueError as e:
         raise SchemaError(f"star: {e}") from None
+    # a key no reader takes is refused only after every other check, so
+    # a document with another fault is reported for that fault
+    if not header.keys() <= _HEADER_KEYS:
+        _refuse_extra_key("star header", header, _HEADER_KEYS)
+    if not doc.keys() <= _STAR_KEYS:
+        _refuse_extra_key("star", doc, _STAR_KEYS)
+    return star

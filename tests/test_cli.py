@@ -244,6 +244,8 @@ def invalid_files(files, star_tree):
     extra_balloon_key["moves"][0]["balloon"]["bogus"] = 1
     extra_rearrange_key = json.loads(json.dumps(word))
     extra_rearrange_key["moves"][1]["rearrange"]["bogus"] = 1
+    star_doc = serialize.star_to_json(star)
+    extra_header_key = dict(star_doc, star=dict(star_doc["star"], bogus=1))
     docs = {
         "morphism": morphism,
         "bad_source_morphism": bad_source,
@@ -253,9 +255,11 @@ def invalid_files(files, star_tree):
         "extra_rearrange_key_word": extra_rearrange_key,
         "extra_key_word": dict(word, extra=3),
         "extra_key_charge": {"values": {"l1": "1", "l2": "-1"}, "extra": 3},
+        "extra_header_key_star": extra_header_key,
+        "extra_key_star": dict(star_doc, extra=2),
         "measure_nonpositive": nonpositive,
         "measure_no_tails": {"blocks": base["blocks"], "tails": {}},
-        "star": serialize.star_to_json(star),
+        "star": star_doc,
         "bool_depth_star": bool_depth_star,
         "bad_star": bad_star,
         "no_weight_star": no_weight_star,
@@ -380,6 +384,12 @@ INVALID_INPUTS = {
     "validate_star_stray_node": [
         "validate", "--tree", "{tree}", "--star", "{stray_node_star}"
     ],
+    "oracle_star_extra_header_key": [
+        "oracle", "--star", "{extra_header_key_star}", "--word", "{empty_word}"
+    ],
+    "validate_star_extra_key": [
+        "validate", "--tree", "{tree}", "--star", "{extra_key_star}"
+    ],
 }
 
 END_SHARED = (
@@ -442,6 +452,10 @@ LOAD_FAULTS = {
     "validate_star_end_shared": END_SHARED,
     "oracle_star_stray_node": STRAY_NODE,
     "validate_star_stray_node": STRAY_NODE,
+    "oracle_star_extra_header_key": (
+        "validation error: star header: unexpected key 'bogus'"
+    ),
+    "validate_star_extra_key": "validation error: star: unexpected key 'extra'",
 }
 
 

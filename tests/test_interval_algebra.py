@@ -9,6 +9,7 @@ finite endpoint, which is where infinite right ends show.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -92,3 +93,30 @@ def test_subtract_bounded_piece_from_infinite_tail():
         (0, 0, 1),
         (0, 2, INF),
     ]
+
+
+# a set of at most one interval skips the merge: it must give what the
+# merge gives for that interval listed twice, as a fresh list of tuples
+@pytest.mark.parametrize(
+    "interval",
+    [
+        (0, Fraction(1), Fraction(1)),
+        (0, Fraction(3), Fraction(1, 2)),
+        (1, Fraction(1, 2), INF),
+        (1, Fraction(1, 2), Fraction(5, 2)),
+    ],
+    ids=["empty", "inverted", "infinite", "bounded"],
+)
+def test_one_interval_normalizes_as_the_merge_does(interval):
+    one = [interval]
+    got = iset_normalize(one)
+    assert got == iset_normalize([interval, interval])
+    assert got is not one
+    assert all(type(t) is tuple for t in got)
+    assert iset_normalize([list(interval)]) == got
+
+
+def test_the_empty_set_normalizes_to_a_fresh_empty_list():
+    empty = []
+    got = iset_normalize(empty)
+    assert got == [] and got is not empty

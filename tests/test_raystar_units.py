@@ -39,7 +39,16 @@ from endflow.raystar import (
     _split,
     _take_back,
     _take_front,
+    charge_from_definition,
+    oracle_cuts,
     realize_word,
+    region_intervals,
+)
+from endflow.serialize import (
+    star_from_json,
+    star_to_json,
+    word_from_json,
+    word_to_json,
 )
 from endflow.transport import (
     BalloonMove,
@@ -47,6 +56,8 @@ from endflow.transport import (
     Rearrange,
     _preserves,
     _Runner,
+    _word_unit,
+    charge_of_word,
     route,
 )
 
@@ -414,6 +425,63 @@ def test_corpus_holds_what_it_names():
     assert max(map(len, supports)) >= 9
     bases = [word.base != base_state(word.tree) for _, _, word in CORPUS]
     assert sum(bases) >= 8
+
+
+# -- the layout on ints -------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_int_layout_is_the_fraction_layout_in_units(seed):
+    """The builder lays the star out by int prefix sums of its masses;
+    scaled by its unit, that is ``RayStar.node_intervals``, key order
+    included."""
+    rng = Random(seed)
+    rays = rng.randint(2, 5)
+    finite = rng.sample(range(rays), rng.randint(0, rays))
+    star = _star(rng, rays, rng.randint(1, 4), finite)
+    unit = rng.choice((1, 2, 6, 35, 1000003))
+    builder = _PLBuilder(star, unit)
+    u = builder.unit
+    want = star.node_intervals
+    assert list(builder.intervals) == list(want)
+    for v, (loc, lo, hi) in want.items():
+        got = builder.intervals[v]
+        assert got == (loc, lo * u, hi if is_inf(hi) else hi * u)
+        assert all(type(x) is int for x in got[1:] if not is_inf(x))
+    assert u % unit == 0
+    assert all(
+        u % x.denominator == 0
+        for (_, lo, hi) in want.values()
+        for x in (lo, hi)
+        if not is_inf(x)
+    )
+    # a word based at the star's measure is laid out on its own unit
+    tree = star.to_tree()
+    word_unit = _word_unit(MoveWord(tree, base_state(tree), ()))
+    assert _PLBuilder(star, word_unit).unit == word_unit
+    for i in range(rays):
+        assert star.ray_length(i) == want[star.end_id(i)][2]
+
+
+def test_an_oracle_request_computes_no_fraction_interval():
+    rng = Random("raystar-layout")
+    star = _star(rng, 4, 6, finite=(2,))
+    tree = star.to_tree()
+    word = random_preserving_word(
+        rng, tree, base_state(tree), transfers=4, shuffles=3
+    )
+    star = star_from_json(star_to_json(star))
+    word = word_from_json(
+        star.to_tree(), base_state(star.to_tree()), word_to_json(word)
+    )
+    h = realize_word(star, word)
+    want = charge_of_word(word)
+    for cut in oracle_cuts(h, 3):
+        assert charge_from_definition(star, h, cut) == want
+    assert "node_intervals" not in vars(star)
+    # the pin would see it: a region query computes them
+    region_intervals(star, [star.center_id()])
+    assert "node_intervals" in vars(star)
 
 
 # -- call-graph gate ----------------------------------------------------------

@@ -325,6 +325,24 @@ def test_star_round_trip():
         assert back.center_mass == star.center_mass
 
 
+def test_a_star_key_no_reader_takes_is_refused():
+    doc = star_to_json(random_star(Random(74)))
+    header = dict(doc["star"], bogus=1)
+    for bad, error in (
+        (dict(doc, star=header), "star header: unexpected key 'bogus'"),
+        (dict(doc, extra=2), "star: unexpected key 'extra'"),
+    ):
+        with pytest.raises(SchemaError) as err:
+            star_from_json(bad)
+        assert str(err.value) == error
+    # the key is checked last: a fault of the tree is reported first
+    bad = dict(doc, star=header, extra=2, root="x")
+    with pytest.raises(SchemaError) as err:
+        star_from_json(bad)
+    assert str(err.value) == "star: the root is 'x', not 'c'"
+    assert star_from_json(doc).to_tree() == tree_from_json(doc)
+
+
 # -- round trips through JSON text ---------------------------------------------
 
 rngs = st.randoms(use_true_random=False)
