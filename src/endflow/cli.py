@@ -280,9 +280,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     _require_at_least_one("--cases", args.cases)
-    if args.suite and args.suite not in SUITES:
+    if args.suite is not None and args.suite not in SUITES:
         raise serialize.SchemaError(f"unknown suite {args.suite!r}")
-    names = [args.suite] if args.suite else SUITES
+    names = SUITES if args.suite is None else [args.suite]
     reports = [run_suite(name, args.seed, args.cases) for name in names]
     failed = 0
     for rep in reports:

@@ -311,6 +311,7 @@ INVALID_INPUTS = {
     "verify_suite_negative_cases": [
         "verify", "--suite", "homomorphism", "--cases", "-3"
     ],
+    "verify_empty_suite": ["verify", "--suite", ""],
     "validate_missing_tails_with_charge": [
         "validate", "--tree", "{tree}", "--measure", "{measure_no_tails}",
         "--charge", "{charge}",
@@ -402,9 +403,9 @@ STRAY_NODE = (
 )
 
 # faults that stop the command while its documents load (so even
-# ``validate`` writes no report), or on a word's move, which the message
-# names; every other case is reported as "validation error: invalid ..."
-# (or by ``validate``'s report)
+# ``validate`` writes no report), on a word's move, which the message
+# names, or on an unknown verify suite; every other case is reported as
+# "validation error: invalid ..." (or by ``validate``'s report)
 LOAD_FAULTS = {
     "charge_list_in_edge": "validation error: word move 0: edge needs two node ids",
     "factorize_object_in_support": "validation error: word move 1: support needs node ids",
@@ -427,6 +428,7 @@ LOAD_FAULTS = {
         "on an End leaf"
     ),
     "validate_repeated_charge_key": "validation error: repeated JSON key 'l1'",
+    "verify_empty_suite": "validation error: unknown suite ''",
     "push_nonpositive_target_weight": (
         "validation error: invalid morphism: target tree: "
         "non-positive weight at 'u'"
