@@ -17,16 +17,27 @@ measure), and the regions are laid out on U by int prefix sums of the
 star's masses; every edge move is a whole number of units, the
 replay that checks the word runs on the same unit and hands the queues
 each amount it read (a shuffle is decomposed on its ints), and the
-pieces are converted back to Fractions once.  A pool segment stands in
-for the center block; segments crossing between pool and rays model the
-mixing the center performs, treated as a black box (only the rays are
-honest 1-D geometry).  The interior distribution of a block is below the
-model's resolution, so each region is finally laid out at uniform
-density: every piece has unit slope and all rational data stay small.
+pieces are converted back to Fractions once.  The star has one layout
+walk, :meth:`RayStar._layout`, generic in the number type: it gives the
+Fraction ``node_intervals`` and the builder's int intervals, in the same
+key order, over the cell and end ids the star formats once (a star read
+by :meth:`RayStar.from_tree` keeps the ids it formatted to read its
+masses).  A shuffle's edge steps send surpluses up to the support's top
+in preorder and serve deficits from it in reverse preorder, so the
+inverse shuffle's steps are this one's reversed and negated: a word
+followed by its inverse moves every segment back and realizes to the
+identity.  A pool segment stands in for the center block; segments
+crossing between pool and rays model the mixing the center performs,
+treated as a black box (only the rays are honest 1-D geometry).  The
+interior distribution of a block is below the model's resolution, so
+each region is finally laid out at uniform density: every piece has unit
+slope and all rational data stay small.
 The end charge of the realized map is then recomputed from the raw
 definition - the masses of ``C - h(C)`` and ``h(C) - C`` for a tail
 region ``C`` - by exact interval arithmetic, giving an oracle fully
-independent of the flux accounting.
+independent of the flux accounting.  A realized map keeps its last
+breakpoint once scanned, so the cuts beyond it are read without another
+scan of the pieces.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Dict, List, Tuple
 
 from .charge import EndCharge
@@ -126,16 +137,28 @@ class RayStar:
     @cached_property
     def node_intervals(self) -> Dict[str, Tuple[int, Fraction, ExtMass]]:
         """Node id of the star's tree -> its fixed interval (location, lo,
-        hi): the center first, then each ray from its first cell to its
-        tail."""
-        out = {self.center_id(): (self.ray_count, Zero, self.center_mass)}
-        for i, ray in enumerate(self.cells):
-            lo = Zero
-            for k, m in enumerate(ray):
-                hi = lo + m
-                out[self.cell_id(i, k)] = (i, lo, hi)
+        hi) in Fractions, as :meth:`_layout` orders them."""
+        return self._layout(lambda m: m)
+
+    def _layout(self, read) -> dict:
+        """Node id -> fixed interval (location, lo, hi), with every mass
+        taken through ``read`` into one exact number type (``INF`` passes
+        through) and the ends found by prefix sums in that type: the
+        center first, then each ray from its first cell to its End leaf.
+        This is the one layout of the star, in Fractions for
+        :attr:`node_intervals` and in ints for :class:`_PLBuilder`."""
+        zero = read(Zero)
+        center = (self.ray_count, zero, read(self.center_mass))
+        out = {self.center_id(): center}
+        for i, (ids, ray, tail) in enumerate(
+            zip(self._ray_ids, self.cells, self.tails)
+        ):
+            lo = zero
+            for v, m in zip(ids, ray):
+                hi = lo + read(m)
+                out[v] = (i, lo, hi)
                 lo = hi
-            out[self.end_id(i)] = (i, lo, lo + self.tails[i])
+            out[ids[-1]] = (i, lo, lo + read(tail))
         return out
 
     # node ids of the associated balloon tree
@@ -158,18 +181,19 @@ class RayStar:
     def _tree(self) -> BalloonTree:
         return BalloonTree(*self._parts())
 
-    def _parts(self, ray_ids=None):
+    @cached_property
+    def _ray_ids(self) -> List[List[str]]:
+        """The ids of each ray's cells and End leaf, formatted once."""
+        return [
+            [self.cell_id(i, k) for k in range(self.depth)] + [self.end_id(i)]
+            for i in range(self.ray_count)
+        ]
+
+    def _parts(self):
         """The canonical tree's root, children, weights and tails: the
         center's children are the rays' first cells, each cell's one child
-        is the next cell or its ray's End leaf, and no leaf is Closed.
-        ``ray_ids`` are the ids of each ray's cells and End leaf, when the
-        caller has formatted them already."""
-        if ray_ids is None:
-            ray_ids = [
-                [self.cell_id(i, k) for k in range(self.depth)]
-                + [self.end_id(i)]
-                for i in range(self.ray_count)
-            ]
+        is the next cell or its ray's End leaf, and no leaf is Closed."""
+        ray_ids = self._ray_ids
         c = self.center_id()
         children = {c: tuple(ids[0] for ids in ray_ids)}
         weights = {c: self.center_mass}
@@ -212,7 +236,10 @@ class RayStar:
             cells.append(tuple(ray))
             ends.append(tail(ids[-1]))
         star = cls(weight(cls.center_id()), tuple(cells), tuple(ends))
-        root, *parts = star._parts(ray_ids)
+        # a cached property is stored in the instance dict, which a frozen
+        # dataclass leaves writable
+        vars(star)["_ray_ids"] = ray_ids
+        root, *parts = star._parts()
         if tree.root != root:
             raise ValueError(f"the root is {tree.root!r}, not {root!r}")
         given = (tree.children, tree.weights, tree.tails)
@@ -228,8 +255,6 @@ class RayStar:
                 f"node {min(tree.closed)!r} is a Closed leaf; "
                 "the canonical tree has none"
             )
-        # a cached property is stored in the instance dict, which a frozen
-        # dataclass leaves writable
         vars(star)["_tree"] = tree
         return star
 
@@ -262,15 +287,22 @@ class PLMap:
         raise ValueError(f"point ({loc}, {x}) outside the map's domain")
 
     def last_breakpoint(self) -> Fraction:
-        """Largest finite piece boundary on any ray."""
-        out = Zero
-        for p in self.pieces:
-            if p.src >= self.star.ray_count:
-                continue
-            out = max(out, p.lo)
-            if not is_inf(p.hi):
-                out = max(out, p.hi)
-        return out
+        """Largest finite piece boundary on any ray.  The pieces are
+        scanned once and the value kept in the instance dict, which a
+        frozen dataclass leaves writable; it is no field, so ``repr``
+        does not see it, and equality is identity."""
+        kept = vars(self).get("_last_breakpoint")
+        if kept is None:
+            kept = Zero
+            rays = self.star.ray_count
+            for p in self.pieces:
+                if p.src >= rays:
+                    continue
+                kept = max(kept, p.lo)
+                if not is_inf(p.hi):
+                    kept = max(kept, p.hi)
+            vars(self)["_last_breakpoint"] = kept
+        return kept
 
     def eventual_shift(self, ray: int) -> Fraction:
         """Translation constant on the deep part of a ray (measure
@@ -497,12 +529,13 @@ class _PLBuilder:
     center, cells and finite tails): ``unit`` itself when it is the unit
     of a word based at the star's measure.  Every interval end is a sum of
     masses, so ``intervals`` (:attr:`RayStar.node_intervals` in units, in
-    the same key order) is built by int prefix sums of the masses, and no
-    Fraction interval is computed.  :meth:`_shift` is the one way in: it
-    takes a star edge and an int count of units, both checked and read by
-    the runner :func:`realize_word` builds on the same unit, so the
-    builder neither checks an edge nor converts an amount.  ``to_plmap``
-    converts back to Fractions once per piece.
+    the same key order) is the star's one layout walk
+    (:meth:`RayStar._layout`) on ints, over the ids the star formatted
+    once, and no Fraction interval is computed.  :meth:`_shift` is the
+    one way in: it takes a star edge and an int count of units, both
+    checked and read by the runner :func:`realize_word` builds on the
+    same unit, so the builder neither checks an edge nor converts an
+    amount.  ``to_plmap`` converts back to Fractions once per piece.
 
     An edge move of amount d > 0 takes the segments holding the last d of
     mass of the parent's region and puts them, in order, in front of the
@@ -519,19 +552,7 @@ class _PLBuilder:
         dens.update(m.denominator for ray in star.cells for m in ray)
         dens.update(m.denominator for m in star.tails if not is_inf(m))
         self.unit = u = math.lcm(unit, *dens)
-        # the center, then each ray's cells and End leaf, by prefix sums
-        self.intervals = {
-            star.center_id(): (
-                star.ray_count, 0, _in_units(star.center_mass, u)
-            )
-        }
-        for i, (ray, tail) in enumerate(zip(star.cells, star.tails)):
-            lo = 0
-            for k, m in enumerate(ray):
-                hi = lo + _in_units(m, u)
-                self.intervals[star.cell_id(i, k)] = (i, lo, hi)
-                lo = hi
-            self.intervals[star.end_id(i)] = (i, lo, lo + _in_units(tail, u))
+        self.intervals = star._layout(partial(_in_units, unit=u))
         self.queues = {
             v: [(loc, lo, hi - lo, 1)]
             for v, (loc, lo, hi) in self.intervals.items()

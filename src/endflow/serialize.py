@@ -2,8 +2,10 @@
 
 Rationals are strings "p/q" (reduced; plain "p" when integral) and "inf"
 is the only infinity token.  Loaders raise SchemaError on malformed
-documents; semantic validation stays with the domain types.  The tree,
-word, charge and star loaders drop no key unread.  A tree node entry needs
+documents; semantic validation stays with the domain types.  The
+loaders drop no key unread, save at a tree document's top level: a
+measure holds its ``blocks`` and ``tails`` alone, and a morphism its
+``source``, ``target`` and ``map``.  A tree node entry needs
 children, a weight or a leaf tag, and holds no other key: an End leaf
 takes no weight, and a leaf tag holds its ``kind`` and, for an End leaf,
 its ``tail``.  A word holds its ``moves`` alone, each move exactly one of
@@ -174,18 +176,27 @@ def state_to_json(mu: MeasureState) -> dict:
     }
 
 
+# the keys of a measure document; as in the other loaders below, a key no
+# reader takes is refused only after every other check, so a document
+# with another fault is reported for that fault
+_MEASURE_KEYS = frozenset({"blocks", "tails"})
+
+
 def state_from_json(tree: BalloonTree, doc: dict) -> MeasureState:
     blocks = _need(doc, "blocks", dict, "measure")
     tails = _need(doc, "tails", dict, "measure")
     frac, mass = _rationals()
     try:
-        return MeasureState(
+        mu = MeasureState(
             tree,
             {v: frac(m) for v, m in blocks.items()},
             {v: mass(m) for v, m in tails.items()},
         )
     except ValueError as e:
         raise SchemaError(f"measure: {e}") from None
+    if len(doc) > 2:
+        _refuse_extra_key("measure", doc, _MEASURE_KEYS)
+    return mu
 
 
 # -- charges ------------------------------------------------------------------
@@ -249,52 +260,75 @@ _BODY_KEYS = {
 
 def word_from_json(tree: BalloonTree, base: MeasureState, doc: dict) -> MoveWord:
     frac, _ = _rationals()
+    balloon_keys = _BODY_KEYS["balloon"]
     moves = []
     for i, entry in enumerate(_need(doc, "moves", list, "word")):
-        if not isinstance(entry, dict):
-            raise SchemaError(f"word move {i}: not an object")
-        if "balloon" in entry:
-            kind, body = "balloon", entry["balloon"]
-            edge = _need(body, "edge", list, "word move", i)
-            if len(edge) != 2 or not (
-                isinstance(edge[0], str) and isinstance(edge[1], str)
+        # a well-formed balloon entry is accepted after one test; any other
+        # entry is read by _read_move, whose checks name its fault
+        body = (
+            entry.get("balloon")
+            if type(entry) is dict and len(entry) == 1
+            else None
+        )
+        try:
+            if (
+                type(body) is dict
+                and body.keys() == balloon_keys
+                and type(edge := body["edge"]) is list
+                and len(edge) == 2
+                and type(edge[0]) is str
+                and type(edge[1]) is str
+                and type(amount := body["amount"]) is str
             ):
-                raise SchemaError(f"word move {i}: edge needs two node ids")
-            amount = _need(body, "amount", str, "word move", i)
-            try:
-                amount = frac(amount)
-            except ValueError as e:
-                raise SchemaError(f"word move {i}: {e}") from None
-            moves.append(BalloonMove((edge[0], edge[1]), amount))
-        elif "rearrange" in entry:
-            kind, body = "rearrange", entry["rearrange"]
-            support = _need(body, "support", list, "word move", i)
-            if not all(isinstance(v, str) for v in support):
-                raise SchemaError(f"word move {i}: support needs node ids")
-            masses = _need(body, "masses", dict, "word move", i)
-            try:
-                moves.append(
-                    Rearrange(
-                        frozenset(support),
-                        {v: frac(m) for v, m in masses.items()},
-                    )
-                )
-            except ValueError as e:
-                raise SchemaError(f"word move {i}: {e}") from None
-        else:
-            raise SchemaError(f"word move {i}: unknown move kind")
-        # a move is one kind key and its body, which holds that kind's keys
-        if len(entry) > 1:
-            _refuse_extra_key(
-                f"word move {i}", entry, (kind,), f" in a {kind} move"
-            )
-        if not body.keys() <= _BODY_KEYS[kind]:
-            _refuse_extra_key(
-                f"word move {i}", body, _BODY_KEYS[kind], f" in its {kind}"
-            )
+                moves.append(BalloonMove((edge[0], edge[1]), frac(amount)))
+            else:
+                moves.append(_read_move(frac, entry, i))
+        except SchemaError:
+            raise
+        except ValueError as e:
+            # a rational that does not parse
+            raise SchemaError(f"word move {i}: {e}") from None
     if len(doc) > 1:
         _refuse_extra_key("word", doc, ("moves",))
     return MoveWord(tree, base, tuple(moves))
+
+
+def _read_move(frac, entry, i: int):
+    """Move ``i`` of a word document, with every check that names a fault
+    in a move entry, in order; a rational that does not parse is left to
+    raise its ``ValueError``."""
+    if not isinstance(entry, dict):
+        raise SchemaError(f"word move {i}: not an object")
+    if "balloon" in entry:
+        kind, body = "balloon", entry["balloon"]
+        edge = _need(body, "edge", list, "word move", i)
+        if len(edge) != 2 or not (
+            isinstance(edge[0], str) and isinstance(edge[1], str)
+        ):
+            raise SchemaError(f"word move {i}: edge needs two node ids")
+        amount = _need(body, "amount", str, "word move", i)
+        move = BalloonMove((edge[0], edge[1]), frac(amount))
+    elif "rearrange" in entry:
+        kind, body = "rearrange", entry["rearrange"]
+        support = _need(body, "support", list, "word move", i)
+        if not all(isinstance(v, str) for v in support):
+            raise SchemaError(f"word move {i}: support needs node ids")
+        masses = _need(body, "masses", dict, "word move", i)
+        move = Rearrange(
+            frozenset(support), {v: frac(m) for v, m in masses.items()}
+        )
+    else:
+        raise SchemaError(f"word move {i}: unknown move kind")
+    # a move is one kind key and its body, which holds that kind's keys
+    if len(entry) > 1:
+        _refuse_extra_key(
+            f"word move {i}", entry, (kind,), f" in a {kind} move"
+        )
+    if not body.keys() <= _BODY_KEYS[kind]:
+        _refuse_extra_key(
+            f"word move {i}", body, _BODY_KEYS[kind], f" in its {kind}"
+        )
+    return move
 
 
 # -- morphisms ----------------------------------------------------------------
@@ -308,6 +342,10 @@ def morphism_to_json(pi: TreeMorphism) -> dict:
     }
 
 
+# the keys of a morphism document
+_MORPHISM_KEYS = frozenset({"source", "target", "map"})
+
+
 def morphism_from_json(doc: dict) -> TreeMorphism:
     source = tree_from_json(_need(doc, "source", dict, "morphism"))
     target = tree_from_json(_need(doc, "target", dict, "morphism"))
@@ -316,7 +354,10 @@ def morphism_from_json(doc: dict) -> TreeMorphism:
         isinstance(k, str) and isinstance(v, str) for k, v in node_map.items()
     ):
         raise SchemaError("morphism: map must be id to id")
-    return TreeMorphism(source, target, dict(node_map))
+    pi = TreeMorphism(source, target, dict(node_map))
+    if len(doc) > 3:
+        _refuse_extra_key("morphism", doc, _MORPHISM_KEYS)
+    return pi
 
 
 # -- ray stars ----------------------------------------------------------------

@@ -25,7 +25,9 @@ and the runner counts masses and fluxes in units of 1/U, making a
 ``Fraction`` only for what it hands back.  Only the section's runners,
 whose moves are not known before they run, keep ``Fraction`` values (see
 :class:`_Runner`).  Every complete walk of a word keeps its end on the
-word, where every later reader finds it.
+word, where every later reader finds it.  A walk's runner keeps the
+block masses it started from, read in once, so :func:`_preserves` compares
+the end's blocks with them and reads no base mass again.
 """
 
 from __future__ import annotations
@@ -56,8 +58,15 @@ class BalloonMove:
     amount: Fraction
 
     def __post_init__(self):
-        # a 2-tuple and a Fraction, the common case, are kept as handed in
+        # a 2-tuple and a Fraction, the common case, pass one exact-type
+        # test and are kept as handed in
         edge = self.edge
+        if (
+            type(edge) is tuple
+            and len(edge) == 2
+            and type(self.amount) is Fraction
+        ):
+            return
         if not isinstance(edge, (tuple, list)) or len(edge) != 2:
             raise ValueError(f"balloon move edge {edge!r}: need two node ids")
         if type(edge) is not tuple:
@@ -146,14 +155,16 @@ class _Runner:
     and error texts.  A runner without a unit keeps Fractions; only the
     section's runners are built so, since the moves they schedule are not
     known before they run.  The checks are the same code on either kind.
+    The block masses it starts from are kept, read in, as ``start``.
     """
 
-    __slots__ = ("tree", "unit", "blocks", "tails", "flux")
+    __slots__ = ("tree", "unit", "start", "blocks", "tails", "flux")
 
     def __init__(self, mu: MeasureState, unit: Optional[int] = None):
         self.tree = mu.tree
         self.unit = unit
-        self.blocks = self._in_all(mu.blocks)
+        self.start = self._in_all(mu.blocks)
+        self.blocks = dict(self.start)
         self.tails = self._in_all(mu.tails)
         zero = Fraction(0) if unit is None else 0
         self.flux = dict.fromkeys(mu.tree.edges, zero)
@@ -363,10 +374,10 @@ def apply_word(word: MoveWord) -> Tuple[MeasureState, FluxField]:
 
 
 def _preserves(word: MoveWord, r: _Runner) -> bool:
-    """The runner, left at the word's end, holds the base blocks and no
-    net flux has entered any finite tail."""
+    """The runner, walked from the word's base to its end, holds the
+    blocks it started from and no net flux has entered any finite tail."""
     t = word.tree
-    return r.blocks == r._in_all(word.base.blocks) and all(
+    return r.blocks == r.start and all(
         is_inf(word.base.tails[v]) or r.flux[t.leaf_edge(v)] == 0
         for v in t.end_leaves
     )
@@ -463,13 +474,16 @@ def _rearrangement_moves(
     ``cur`` to ``new`` through the support's top node ``anchor``; the
     amounts are in the units of the masses, Fractions or ints."""
     # a node sends its surplus or receives its deficit, never both, so the
-    # starting masses settle both passes
+    # starting masses settle both passes.  Surpluses go up in preorder and
+    # deficits are served in reverse preorder: the inverse shuffle's steps
+    # are then this one's, reversed and negated, so a word followed by its
+    # inverse moves every segment back where it came from
     order = sorted(set(cur) - {anchor}, key=tree.preorder_index.__getitem__)
     steps: List[Tuple[Edge, Fraction]] = []
     for v in order:
         if cur[v] > new[v]:
             steps += _route_edges(tree, v, anchor, cur[v] - new[v])
-    for v in order:
+    for v in reversed(order):
         if new[v] > cur[v]:
             steps += _route_edges(tree, anchor, v, new[v] - cur[v])
     return steps

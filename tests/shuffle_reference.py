@@ -12,13 +12,14 @@ from endflow.transport import route
 def _ref_rearrangement_moves(tree, anchor, cur, new):
     """The edge moves taking the checked support masses ``cur`` to ``new``
     through the support's top node ``anchor``: surpluses are routed to
-    the anchor, then deficits are served from it, nodes in preorder."""
+    the anchor in preorder, then deficits are served from it in reverse
+    preorder."""
     order = sorted(set(cur) - {anchor}, key=tree.preorder_index.__getitem__)
     moves = []
     for v in order:
         if cur[v] > new[v]:
             moves += route(tree, v, anchor, cur[v] - new[v])
-    for v in order:
+    for v in reversed(order):
         if new[v] > cur[v]:
             moves += route(tree, anchor, v, new[v] - cur[v])
     return moves

@@ -257,6 +257,8 @@ def invalid_files(files, star_tree):
         "extra_key_charge": {"values": {"l1": "1", "l2": "-1"}, "extra": 3},
         "extra_header_key_star": extra_header_key,
         "extra_key_star": dict(star_doc, extra=2),
+        "extra_key_measure": dict(base, zz=1),
+        "extra_key_morphism": dict(morphism, zz=1),
         "measure_nonpositive": nonpositive,
         "measure_no_tails": {"blocks": base["blocks"], "tails": {}},
         "star": star_doc,
@@ -391,6 +393,10 @@ INVALID_INPUTS = {
     "validate_star_extra_key": [
         "validate", "--tree", "{tree}", "--star", "{extra_key_star}"
     ],
+    "validate_extra_measure_key": [
+        "validate", "--tree", "{tree}", "--measure", "{extra_key_measure}"
+    ],
+    "push_extra_morphism_key": ["push", "--morphism", "{extra_key_morphism}"],
 }
 
 END_SHARED = (
@@ -458,6 +464,12 @@ LOAD_FAULTS = {
         "validation error: star header: unexpected key 'bogus'"
     ),
     "validate_star_extra_key": "validation error: star: unexpected key 'extra'",
+    "validate_extra_measure_key": (
+        "validation error: measure: unexpected key 'zz'"
+    ),
+    "push_extra_morphism_key": (
+        "validation error: morphism: unexpected key 'zz'"
+    ),
 }
 
 

@@ -36,6 +36,7 @@ from endflow.transport import (
     charge_of_word,
     concat,
     empty_word,
+    invert_word,
 )
 
 
@@ -314,7 +315,25 @@ def test_cancelling_moves_realize_to_the_identity():
                 mu,
                 (BalloonMove(edge, sign * d), BalloonMove(edge, -sign * d)),
             )
-            h = realize_word(star, w)
-            assert [(p.src, p.dst, p.lo, p.a, p.slope) for p in h.pieces] == [
-                (loc, loc, 0, 0, 1) for loc in range(star.ray_count + 1)
-            ]
+            assert _is_identity(star, realize_word(star, w))
+
+
+def _is_identity(star, h):
+    """One piece per location, each the identity: a = 0, slope 1."""
+    return [(p.src, p.dst, p.lo, p.a, p.slope) for p in h.pieces] == [
+        (loc, loc, 0, 0, 1) for loc in range(star.ray_count + 1)
+    ]
+
+
+def test_a_word_followed_by_its_inverse_realizes_to_the_identity():
+    """Deficits of a shuffle are served in reverse preorder, so the
+    inverse shuffle's edge steps undo this one's segment by segment."""
+    not_identity = []
+    for seed in range(300):
+        rng = Random(seed)
+        star = random_star(rng)
+        w = random_preserving_word(rng, star.to_tree())
+        h = realize_word(star, concat(w, invert_word(w)))
+        if not _is_identity(star, h):
+            not_identity.append(seed)
+    assert not_identity == []

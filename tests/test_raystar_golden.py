@@ -24,7 +24,7 @@ from endflow.raystar import (
 # sha256 of the realizations of the corpus below; a new value means
 # realize_word's output changed
 GOLDEN_SHA256 = (
-    "ca0570bc59a9069821ba2d03718e58347f023dbc0ffb78510cdaf87e6c647bf2"
+    "a9abc0ac0e6fa4c87b158d92efb88941aa9619e0fc377d61f0ca4d2d411d8755"
 )
 
 

@@ -17,6 +17,7 @@
 import cProfile
 import fractions
 import pstats
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -24,6 +25,7 @@ import pytest
 
 from endflow.errors import (
     ChargeUndefinedError,
+    CutTooShallowError,
     RealizationError,
     TreeMismatchError,
 )
@@ -482,6 +484,107 @@ def test_an_oracle_request_computes_no_fraction_interval():
     # the pin would see it: a region query computes them
     region_intervals(star, [star.center_id()])
     assert "node_intervals" in vars(star)
+
+
+# -- one oracle request does each job once ------------------------------------
+
+
+def _request_docs(finite=()):
+    """The documents of one oracle request: a 4-ray star of depth 32 and a
+    word of ~300 moves."""
+    rng = Random("raystar-once")
+    star = _star(rng, 4, 32, finite)
+    tree = star.to_tree()
+    word = random_preserving_word(
+        rng, tree, base_state(tree), transfers=6, shuffles=4
+    )
+    return star_to_json(star), word_to_json(word)
+
+
+def _oracle_request(star_doc, word_doc, pieces=tuple):
+    """Load, realize, read the flux charge and the definition at 3 cuts;
+    the realized map's pieces are handed to ``pieces`` to hold."""
+    star = star_from_json(star_doc)
+    tree = star.to_tree()
+    word = word_from_json(tree, base_state(tree), word_doc)
+    h = realize_word(star, word)
+    object.__setattr__(h, "pieces", pieces(h.pieces))
+    want = charge_of_word(word)
+    for cut in oracle_cuts(h, 3):
+        assert charge_from_definition(star, h, cut) == want
+    return star, h
+
+
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_an_oracle_request_formats_each_cell_id_once(monkeypatch):
+    docs = _request_docs()
+    calls = {}
+    counted = _counting(calls, "cell_id", RayStar.cell_id)
+    monkeypatch.setattr(RayStar, "cell_id", staticmethod(counted))
+    star, _ = _oracle_request(*docs)
+    assert calls["cell_id"] == star.ray_count * star.depth == 4 * 32
+
+
+def test_an_oracle_request_reads_the_base_blocks_in_once(monkeypatch):
+    """The walk's runner reads the base blocks and tails in; the checks
+    that the word preserves its base compare with the blocks it kept."""
+    docs = _request_docs(finite=(2,))
+    calls = {}
+    counted = _counting(calls, "_in_all", _Runner._in_all)
+    monkeypatch.setattr(_Runner, "_in_all", counted)
+    _oracle_request(*docs)
+    assert calls["_in_all"] == 2
+
+
+class _CountedPieces(tuple):
+    """Pieces that note the name of each function iterating them."""
+
+    readers = []
+
+    def __iter__(self):
+        self.readers.append(sys._getframe(1).f_code.co_name)
+        return super().__iter__()
+
+
+def test_an_oracle_request_scans_for_the_last_breakpoint_once(monkeypatch):
+    monkeypatch.setattr(_CountedPieces, "readers", [])
+    _oracle_request(*_request_docs(), pieces=_CountedPieces)
+    readers = _CountedPieces.readers
+    assert readers.count("last_breakpoint") == 1
+    # the definition reads the image of each ray's tail: 4 rays, 3 cuts
+    assert readers.count("image_intervals") == 12
+
+
+def test_a_kept_breakpoint_changes_no_repr_or_error_text():
+    star, h = _oracle_request(*_request_docs())
+    fresh = PLMap(star, h.pieces)
+    shown = repr(fresh)
+    scanned = max(
+        x
+        for p in h.pieces
+        if p.src < star.ray_count
+        for x in (p.lo, p.hi)
+        if not is_inf(x)
+    )
+    texts = []
+    for _ in range(2):
+        with pytest.raises(CutTooShallowError) as err:
+            charge_from_definition(star, fresh, scanned)
+        texts.append(str(err.value))
+    assert texts == [
+        f"cut {scanned} not beyond the last breakpoint {scanned}"
+    ] * 2
+    assert fresh.last_breakpoint() == scanned
+    assert "_last_breakpoint" in vars(fresh)
+    assert repr(fresh) == shown
+    assert fresh != PLMap(star, h.pieces)  # equality stays identity
 
 
 # -- call-graph gate ----------------------------------------------------------

@@ -291,6 +291,78 @@ def test_a_word_key_no_reader_takes_is_refused(star_tree, doc, error):
     assert str(err.value) == error
 
 
+@pytest.mark.parametrize(
+    "balloon, error",
+    [
+        ({"edge": ["r", "u"], "amount": "1/0"}, "bad rational '1/0'"),
+        ({"edge": ["r", 1], "amount": "1"}, "edge needs two node ids"),
+        ({"edge": ["r", "u", "l1"], "amount": "1"}, "edge needs two node ids"),
+        ({"edge": "ru", "amount": "1"}, "key 'edge' has the wrong type"),
+        (
+            {"edge": ["r", "u"], "amount": "1/0", "bogus": 1},
+            "bad rational '1/0'",
+        ),
+        (
+            {"edge": ["r", 1], "amount": "1/0", "bogus": 1},
+            "edge needs two node ids",
+        ),
+    ],
+    ids=[
+        "rational", "id", "three_ids", "edge_type", "rational_first",
+        "edge_first",
+    ],
+)
+def test_a_balloon_fault_is_named_as_before(star_tree, balloon, error):
+    """A well-formed balloon entry is accepted after one test; any other is
+    read by the general checks, which name its first fault."""
+    doc = {"moves": [{"rearrange": REARRANGE}, {"balloon": balloon}]}
+    with pytest.raises(SchemaError) as err:
+        word_from_json(star_tree, base_state(star_tree), doc)
+    assert str(err.value).startswith(f"word move 1: {error}")
+
+
+def test_a_well_formed_balloon_loads_as_its_move(star_tree):
+    halved = dict(BALLOON, amount="-1/2")
+    doc = {"moves": [{"balloon": BALLOON}, {"balloon": halved}]}
+    word = word_from_json(star_tree, base_state(star_tree), doc)
+    assert [(type(mv.edge), mv.edge, mv.amount) for mv in word.moves] == [
+        (tuple, ("r", "u"), Fraction(1)),
+        (tuple, ("r", "u"), Fraction(-1, 2)),
+    ]
+    assert all(type(mv.amount) is Fraction for mv in word.moves)
+
+
+def test_a_measure_key_no_reader_takes_is_refused(star_tree):
+    doc = state_to_json(base_state(star_tree))
+    with pytest.raises(SchemaError) as err:
+        state_from_json(star_tree, dict(doc, zz=1))
+    assert str(err.value) == "measure: unexpected key 'zz'"
+    # the key is checked last: a fault of the masses is reported first
+    bad = dict(doc, blocks=dict(doc["blocks"], r="1/0"), zz=1)
+    with pytest.raises(SchemaError) as err:
+        state_from_json(star_tree, bad)
+    assert str(err.value).startswith("measure: bad rational '1/0'")
+    with pytest.raises(SchemaError) as err:
+        state_from_json(star_tree, {"blocks": doc["blocks"], "zz": 1})
+    assert str(err.value) == "measure: missing key 'tails'"
+
+
+def test_a_morphism_key_no_reader_takes_is_refused():
+    doc = morphism_to_json(random_morphism(Random(75)))
+    with pytest.raises(SchemaError) as err:
+        morphism_from_json(dict(doc, zz=1))
+    assert str(err.value) == "morphism: unexpected key 'zz'"
+    # the key is checked last: a fault of a tree or the map is reported first
+    for bad, error in (
+        (dict(doc, map=[], zz=1), "morphism: key 'map' has the wrong type"),
+        (dict(doc, map={"a": 1}, zz=1), "morphism: map must be id to id"),
+        (dict(doc, source={}, zz=1), "tree: missing key 'root'"),
+    ):
+        with pytest.raises(SchemaError) as err:
+            morphism_from_json(bad)
+        assert str(err.value) == error
+
+
 def test_a_charge_key_no_reader_takes_is_refused(star_tree):
     doc = {"values": {"l1": "1", "l2": "-1"}, "extra": 3}
     with pytest.raises(SchemaError) as err:
