@@ -46,23 +46,10 @@ EXIT_INVARIANT = 3
 EXIT_IO = 4
 
 
-def _unique_keys(pairs):
-    """A JSON object's dict; a key the object repeats is refused rather
-    than read as its last value."""
-    out = dict(pairs)
-    if len(out) < len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise serialize.SchemaError(f"repeated JSON key {key!r}")
-            seen.add(key)
-    return out
-
-
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            return json.load(fh, object_pairs_hook=serialize._unique_keys)
         except (json.JSONDecodeError, serialize.SchemaError):
             raise
         # bytes that are not UTF-8, nesting past the recursion limit, an

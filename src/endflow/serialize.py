@@ -2,18 +2,23 @@
 
 Rationals are strings "p/q" (reduced; plain "p" when integral) and "inf"
 is the only infinity token.  Loaders raise SchemaError on malformed
-documents; semantic validation stays with the domain types.  The
-loaders drop no key unread, save at a tree document's top level: a
-measure holds its ``blocks`` and ``tails`` alone, and a morphism its
-``source``, ``target`` and ``map``.  A tree node entry needs
-children, a weight or a leaf tag, and holds no other key: an End leaf
-takes no weight, and a leaf tag holds its ``kind`` and, for an End leaf,
-its ``tail``.  A word holds its ``moves`` alone, each move exactly one of
-``balloon`` (an ``edge`` and an ``amount``) and ``rearrange`` (a
+documents; semantic validation stays with the domain types.
+
+This module alone decides which keys a document may hold, and the
+loaders drop no key unread.  A JSON object that repeats a key is refused
+as it is read (:func:`_unique_keys`), and each loader refuses a key no
+reader takes through :func:`_check_keys`, after its other checks.  A
+tree holds its ``root`` and ``nodes`` (and, being a star document, its
+``star`` header); a measure holds its ``blocks`` and ``tails`` alone, and
+a morphism its ``source``, ``target`` and ``map``.  A tree node entry
+needs children, a weight or a leaf tag, and holds no other key: an End
+leaf takes no weight, and a leaf tag holds its ``kind`` and, for an End
+leaf, its ``tail``.  A word holds its ``moves`` alone, each move exactly
+one of ``balloon`` (an ``edge`` and an ``amount``) and ``rearrange`` (a
 ``support`` and its ``masses``); a charge is a flat map of End leaves or
-``values`` alone.  A star document holds its tree's ``root`` and
-``nodes`` and a ``star`` header of ``rays`` and ``depth``, and must be the
-star's canonical tree: a relabeled tree, swapped rays or cells, an
+a ``values`` mapping alone.  A star document holds its tree's ``root``
+and ``nodes`` and a ``star`` header of ``rays`` and ``depth``, and must
+be the star's canonical tree: a relabeled tree, swapped rays or cells, an
 unfitting header, a shared end, an end with a child, a stray node or a
 Closed leaf is a SchemaError naming the first node where it differs.
 """
@@ -53,8 +58,33 @@ def _need(obj, key, kind, where, move=None):
     return val
 
 
-def _label(where, move):
-    return where if move is None else f"{where} {move}"
+def _label(where, name):
+    return where if name is None else f"{where} {name!r}"
+
+
+def _check_keys(obj, allowed, where, name=None, note=""):
+    """Refuse the first key of ``obj`` outside ``allowed``.  The error
+    names ``where``, followed by ``name`` (a node id or a move index) and
+    ``note``.  Each loader calls this after all its other checks, so a
+    document with another fault is reported for that fault."""
+    if obj.keys() <= allowed:
+        return
+    key = next(k for k in obj if k not in allowed)
+    raise SchemaError(f"{_label(where, name)}: unexpected key {key!r}{note}")
+
+
+def _unique_keys(pairs):
+    """A JSON object's dict, for ``json.load``'s ``object_pairs_hook``: a
+    key the object repeats is refused rather than read as its last
+    value."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"repeated JSON key {key!r}")
+            seen.add(key)
+    return out
 
 
 def _rationals():
@@ -91,19 +121,14 @@ def tree_to_json(t: BalloonTree) -> dict:
     return {"root": t.root, "nodes": nodes}
 
 
-# the keys a node entry may hold, by leaf kind, and those of its leaf tag
+# the keys of a tree document (a star document is one too), those a node
+# entry may hold, by leaf kind, and those of its leaf tag
+_TREE_KEYS = frozenset({"root", "nodes", "star"})
 _BLOCK_KEYS = frozenset({"id", "children", "weight", "leaf"})
 _ENTRY_KEYS = {
     None: _BLOCK_KEYS, "closed": _BLOCK_KEYS, "end": _BLOCK_KEYS - {"weight"}
 }
 _TAG_KEYS = {None: {"kind"}, "closed": {"kind"}, "end": {"kind", "tail"}}
-
-
-def _refuse_extra_key(label, obj, allowed, where=""):
-    """Refuse the first key of ``obj`` outside ``allowed``, naming
-    ``label``."""
-    key = next(k for k in obj if k not in allowed)
-    raise SchemaError(f"{label}: unexpected key {key!r}{where}")
 
 
 def tree_from_json(doc: dict) -> BalloonTree:
@@ -148,15 +173,13 @@ def tree_from_json(doc: dict) -> BalloonTree:
             raise SchemaError(f"tree node {vid!r}: unknown leaf kind {kind!r}")
         # a key no reader takes (a weight on an End leaf among them) would
         # be dropped unread, so it is refused
-        if not entry.keys() <= _ENTRY_KEYS[kind]:
-            where = " on an End leaf" if kind == "end" else ""
-            _refuse_extra_key(
-                f"tree node {vid!r}", entry, _ENTRY_KEYS[kind], where
+        note = " on an End leaf" if kind == "end" else ""
+        _check_keys(entry, _ENTRY_KEYS[kind], "tree node", vid, note)
+        if leaf:
+            _check_keys(
+                leaf, _TAG_KEYS[kind], "tree node", vid, " in its leaf tag"
             )
-        if leaf and not leaf.keys() <= _TAG_KEYS[kind]:
-            _refuse_extra_key(
-                f"tree node {vid!r}", leaf, _TAG_KEYS[kind], " in its leaf tag"
-            )
+    _check_keys(doc, _TREE_KEYS, "tree")
     return BalloonTree(
         root=root,
         children=children,
@@ -176,9 +199,7 @@ def state_to_json(mu: MeasureState) -> dict:
     }
 
 
-# the keys of a measure document; as in the other loaders below, a key no
-# reader takes is refused only after every other check, so a document
-# with another fault is reported for that fault
+# the keys of a measure document
 _MEASURE_KEYS = frozenset({"blocks", "tails"})
 
 
@@ -194,8 +215,7 @@ def state_from_json(tree: BalloonTree, doc: dict) -> MeasureState:
         )
     except ValueError as e:
         raise SchemaError(f"measure: {e}") from None
-    if len(doc) > 2:
-        _refuse_extra_key("measure", doc, _MEASURE_KEYS)
+    _check_keys(doc, _MEASURE_KEYS, "measure")
     return mu
 
 
@@ -206,19 +226,25 @@ def charge_to_json(c: EndCharge) -> dict:
     return {"values": {v: frac_str(x) for v, x in sorted(c.values.items())}}
 
 
+# the keys of a wrapped charge document
+_CHARGE_KEYS = frozenset({"values"})
+
+
 def charge_from_json(tree: BalloonTree, doc: dict) -> EndCharge:
     if not isinstance(doc, dict):
         raise SchemaError("charge: expected an object")
-    values = doc.get("values", doc)
+    # the wrapped form holds a values mapping; in the flat form, an End
+    # leaf may be called "values"
+    values = doc.get("values")
     if not isinstance(values, dict):
-        raise SchemaError("charge: expected a values mapping")
+        values = doc
     frac, _ = _rationals()
     try:
         charge = EndCharge(tree, {v: frac(x) for v, x in values.items()})
     except ValueError as e:
         raise SchemaError(f"charge: {e}") from None
-    if "values" in doc and len(doc) > 1:
-        _refuse_extra_key("charge", doc, ("values",))
+    if values is not doc:
+        _check_keys(doc, _CHARGE_KEYS, "charge")
     return charge
 
 
@@ -251,7 +277,8 @@ def word_to_json(w: MoveWord) -> dict:
     return {"moves": moves}
 
 
-# the keys of each move kind's body
+# the keys of a word document and of each move kind's body
+_WORD_KEYS = frozenset({"moves"})
 _BODY_KEYS = {
     "balloon": frozenset({"edge", "amount"}),
     "rearrange": frozenset({"support", "masses"}),
@@ -288,8 +315,7 @@ def word_from_json(tree: BalloonTree, base: MeasureState, doc: dict) -> MoveWord
         except ValueError as e:
             # a rational that does not parse
             raise SchemaError(f"word move {i}: {e}") from None
-    if len(doc) > 1:
-        _refuse_extra_key("word", doc, ("moves",))
+    _check_keys(doc, _WORD_KEYS, "word")
     return MoveWord(tree, base, tuple(moves))
 
 
@@ -320,14 +346,8 @@ def _read_move(frac, entry, i: int):
     else:
         raise SchemaError(f"word move {i}: unknown move kind")
     # a move is one kind key and its body, which holds that kind's keys
-    if len(entry) > 1:
-        _refuse_extra_key(
-            f"word move {i}", entry, (kind,), f" in a {kind} move"
-        )
-    if not body.keys() <= _BODY_KEYS[kind]:
-        _refuse_extra_key(
-            f"word move {i}", body, _BODY_KEYS[kind], f" in its {kind}"
-        )
+    _check_keys(entry, {kind}, "word move", i, f" in a {kind} move")
+    _check_keys(body, _BODY_KEYS[kind], "word move", i, f" in its {kind}")
     return move
 
 
@@ -355,8 +375,7 @@ def morphism_from_json(doc: dict) -> TreeMorphism:
     ):
         raise SchemaError("morphism: map must be id to id")
     pi = TreeMorphism(source, target, dict(node_map))
-    if len(doc) > 3:
-        _refuse_extra_key("morphism", doc, _MORPHISM_KEYS)
+    _check_keys(doc, _MORPHISM_KEYS, "morphism")
     return pi
 
 
@@ -369,8 +388,7 @@ def star_to_json(star: RayStar) -> dict:
     return doc
 
 
-# the keys of a star document and of its header
-_STAR_KEYS = frozenset({"root", "nodes", "star"})
+# the keys of a star header; a star document holds a tree document's
 _HEADER_KEYS = frozenset({"rays", "depth"})
 
 
@@ -378,7 +396,9 @@ def star_from_json(doc: dict) -> RayStar:
     header = _need(doc, "star", dict, "star")
     rays = _need(header, "rays", int, "star header")
     depth = _need(header, "depth", int, "star header")
-    tree = tree_from_json(doc)
+    # the tree loader is handed the tree's keys alone, so a stray key is
+    # refused below as the star's
+    tree = tree_from_json({k: doc[k] for k in ("root", "nodes") if k in doc})
     try:
         star = RayStar.from_tree(tree, rays, depth)
     except NonPositiveMassError:
@@ -386,10 +406,6 @@ def star_from_json(doc: dict) -> RayStar:
         raise
     except ValueError as e:
         raise SchemaError(f"star: {e}") from None
-    # a key no reader takes is refused only after every other check, so
-    # a document with another fault is reported for that fault
-    if not header.keys() <= _HEADER_KEYS:
-        _refuse_extra_key("star header", header, _HEADER_KEYS)
-    if not doc.keys() <= _STAR_KEYS:
-        _refuse_extra_key("star", doc, _STAR_KEYS)
+    _check_keys(header, _HEADER_KEYS, "star header")
+    _check_keys(doc, _TREE_KEYS, "star")
     return star

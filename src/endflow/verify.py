@@ -333,9 +333,10 @@ SUITES: Dict[str, Callable[[Random], Iterator[str]]] = {
 def run_suite(name: str, seed: int, cases: int) -> dict:
     """Run ``cases`` cases of one suite and report its failures, each
     labelled ``case i:``.  The suite draws on its own generator, seeded by
-    the run's seed and the suite's name, so it draws the same cases alone
-    or in :func:`run_all`.  A case that raises fails with the exception,
-    after the messages it yielded, and the next case still runs."""
+    the run's seed and the suite's name, so it draws the same cases
+    whichever suites run with it.  A case that raises fails with the
+    exception, after the messages it yielded, and the next case still
+    runs."""
     check = SUITES[name]
     rng = Random(f"{seed}:{name}")
     failures = []
@@ -346,7 +347,3 @@ def run_suite(name: str, seed: int, cases: int) -> dict:
         except Exception as e:
             failures.append(f"case {i}: raised {type(e).__name__}: {e}")
     return {"name": name, "cases": cases, "failures": failures}
-
-
-def run_all(seed: int, cases: int) -> List[dict]:
-    return [run_suite(name, seed, cases) for name in SUITES]

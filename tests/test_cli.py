@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -259,6 +260,7 @@ def invalid_files(files, star_tree):
         "extra_key_star": dict(star_doc, extra=2),
         "extra_key_measure": dict(base, zz=1),
         "extra_key_morphism": dict(morphism, zz=1),
+        "extra_key_tree": dict(serialize.tree_to_json(star_tree), extra=2),
         "measure_nonpositive": nonpositive,
         "measure_no_tails": {"blocks": base["blocks"], "tails": {}},
         "star": star_doc,
@@ -397,6 +399,7 @@ INVALID_INPUTS = {
         "validate", "--tree", "{tree}", "--measure", "{extra_key_measure}"
     ],
     "push_extra_morphism_key": ["push", "--morphism", "{extra_key_morphism}"],
+    "validate_extra_tree_key": ["validate", "--tree", "{extra_key_tree}"],
 }
 
 END_SHARED = (
@@ -470,6 +473,7 @@ LOAD_FAULTS = {
     "push_extra_morphism_key": (
         "validation error: morphism: unexpected key 'zz'"
     ),
+    "validate_extra_tree_key": "validation error: tree: unexpected key 'extra'",
 }
 
 
@@ -834,16 +838,36 @@ def _slots(doc):
 
 
 def _mutate(rng, doc):
-    """Drop, duplicate or replace one nested key or item; return a note.
+    """Drop, duplicate or replace one nested key or item, add an unknown
+    key to an object, or rewrite a rational unreduced; return a note.
 
     A replacement is junk (drawn twice as often) or a node id taken from
     the same document, which can close a cycle, repeat a child or swap the
-    ends of an edge."""
+    ends of an edge.  The unknown key may land in any object, the document
+    itself included; an unreduced rational (``3/2`` as ``6/4``) keeps the
+    document valid."""
     slots = _slots(doc)
     if not slots:
         return "empty"
     box, key = rng.choice(slots)
-    op = rng.choice(["drop", "dup", "junk", "junk", "own_id"])
+    op = rng.choice(
+        ["drop", "dup", "junk", "junk", "own_id", "extra_key", "unreduced"]
+    )
+    if op == "extra_key":
+        objects = [doc] + [b[k] for b, k in slots if isinstance(b[k], dict)]
+        rng.choice(objects)["zz"] = "1"
+        return op
+    if op == "unreduced":
+        rationals = [
+            (b, k) for b, k in slots
+            if isinstance(b[k], str) and re.fullmatch(r"-?\d+(/\d+)?", b[k])
+        ]
+        if not rationals:
+            return "no rational"
+        box, key = rng.choice(rationals)
+        p, _, q = box[key].partition("/")
+        box[key] = f"{2 * int(p)}/{2 * int(q or 1)}"
+        return f"{op} {key!r}"
     if op == "drop":
         del box[key]
     elif op == "dup" and isinstance(box, list):
@@ -876,8 +900,8 @@ def test_mutated_documents_end_in_documented_exit_codes(tmp_path, capsys):
     scenarios = _fuzz_scenarios(8)
     commands = sorted(FUZZ_COMMANDS)
     codes = {}
-    # the tree, word and charge loaders refuse a value duplicated under a
-    # foreign key, so such a "dup" ends in the loader
+    # every loader refuses a value duplicated under a foreign key, so such
+    # a "dup" ends in the loader, as does an "extra_key"
     for k in range(2500):
         command = commands[k % len(commands)]
         flags = FUZZ_COMMANDS[command]

@@ -200,6 +200,27 @@ def test_a_key_no_reader_takes_is_refused(edit, error):
     assert str(err.value) == error
 
 
+def test_a_tree_top_level_key_no_reader_takes_is_refused():
+    doc = tree_to_json(random_tree(Random(76)))
+    with pytest.raises(SchemaError) as err:
+        tree_from_json(dict(doc, extra=2))
+    assert str(err.value) == "tree: unexpected key 'extra'"
+    # the key is checked last: a fault of a node entry is reported first
+    bad = dict(doc, nodes=[*doc["nodes"], {"children": []}], extra=2)
+    with pytest.raises(SchemaError) as err:
+        tree_from_json(bad)
+    assert str(err.value) == "tree node: missing key 'id'"
+    # a morphism's source and target are tree documents too
+    pi = morphism_to_json(random_morphism(Random(77)))
+    for side in ("source", "target"):
+        with pytest.raises(SchemaError) as err:
+            morphism_from_json(dict(pi, **{side: dict(pi[side], extra=2)}))
+        assert str(err.value) == "tree: unexpected key 'extra'"
+    # a star document is a tree document
+    star_doc = star_to_json(random_star(Random(78)))
+    assert tree_from_json(star_doc) == star_from_json(star_doc).to_tree()
+
+
 def test_the_canonical_forms_still_load():
     t = BalloonTree(
         root="a",
@@ -373,6 +394,19 @@ def test_a_charge_key_no_reader_takes_is_refused(star_tree):
     assert charge_from_json(star_tree, doc) == charge_from_json(
         star_tree, doc["values"]
     )
+
+
+def test_a_flat_charge_may_name_an_end_leaf_values():
+    t = BalloonTree(
+        root="a",
+        children={"a": ("values", "x")},
+        weights={"a": Fraction(4)},
+        tails={"values": INF, "x": INF},
+    )
+    expected = EndCharge(t, {"values": Fraction(1), "x": Fraction(-1)})
+    flat = {"values": "1", "x": "-1"}
+    assert charge_from_json(t, flat) == expected
+    assert charge_from_json(t, {"values": flat}) == expected
 
 
 def test_morphism_round_trip():
