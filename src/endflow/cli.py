@@ -270,7 +270,19 @@ def cmd_verify(args) -> int:
     if args.suite is not None and args.suite not in SUITES:
         raise serialize.SchemaError(f"unknown suite {args.suite!r}")
     names = SUITES if args.suite is None else [args.suite]
-    reports = [run_suite(name, args.seed, args.cases) for name in names]
+    first, cases = 0, args.cases
+    if args.case is not None:
+        # one case of one suite, rerun alone
+        if args.case < 0:
+            raise serialize.SchemaError(
+                f"invalid --case {args.case}: need at least 0"
+            )
+        if args.suite is None:
+            raise serialize.SchemaError(
+                f"invalid --case {args.case}: needs --suite"
+            )
+        first, cases = args.case, 1
+    reports = [run_suite(name, args.seed, cases, first) for name in names]
     failed = 0
     for rep in reports:
         status = "PASS" if not rep["failures"] else "FAIL"
@@ -340,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--suite")
+    p.add_argument("--case", type=int, help="rerun this case of --suite alone")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 

@@ -26,7 +26,9 @@ masses).  A shuffle's edge steps send surpluses up to the support's top
 in preorder and serve deficits from it in reverse preorder, so the
 inverse shuffle's steps are this one's reversed and negated: a word
 followed by its inverse moves every segment back and realizes to the
-identity.  A pool segment stands in for the center block; segments
+identity.  An edge move takes the segments holding its amount off one
+end of a region's queue (a single split in the common case) and merges
+them into the neighbouring queue in place.  A pool segment stands in for the center block; segments
 crossing between pool and rays model the mixing the center performs,
 treated as a black box (only the rays are honest 1-D geometry).  The
 interior distribution of a block is below the model's resolution, so
@@ -37,7 +39,11 @@ definition - the masses of ``C - h(C)`` and ``h(C) - C`` for a tail
 region ``C`` - by exact interval arithmetic, giving an oracle fully
 independent of the flux accounting.  A realized map keeps its last
 breakpoint once scanned, so the cuts beyond it are read without another
-scan of the pieces.
+scan of the pieces, and it keeps its pieces read into ints once
+(:func:`_int_view`): the definition clips, subtracts and measures each
+tail on those ints with the same normalized-set helpers the public
+interval-set functions run on Fractions, normalizes each image once and
+makes one Fraction per end.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ from .errors import (
 )
 from .extmath import INF, ExtMass, as_frac, as_mass, is_inf
 from .transport import (
+    BalloonMove,
     MoveWord,
     Rearrange,
     _rearrangement_moves,
@@ -320,14 +327,11 @@ class PLMap:
 
 # -- interval sets ------------------------------------------------------------
 # An interval set is a list of (loc, lo, hi) triples, hi possibly INF.
-# ``Inf`` orders above every Fraction under <, ==, min and max, so clipping
-# and merging need no special case for infinite right ends.
-
-
-def _clip(lo, hi, lo2, hi2):
-    """Overlap of [lo, hi) and [lo2, hi2), or None when it is empty."""
-    o_lo, o_hi = max(lo, lo2), min(hi, hi2)
-    return (o_lo, o_hi) if o_lo < o_hi else None
+# ``Inf`` orders above every Fraction and int under <, ==, min and max, so
+# clipping and merging need no special case for infinite right ends.  The
+# helpers below that take a normalized set are generic in the number type:
+# the public functions run them on Fractions after normalizing, and
+# :func:`charge_from_definition` runs them on a map's int view.
 
 
 def _outside(lo, hi, x0, x1):
@@ -388,11 +392,12 @@ def iset_normalize(iset):
     return out
 
 
-def iset_subtract(a, b):
-    """Measure-exact difference a - b of interval sets."""
-    b = iset_normalize(b)
+def _subtract(a, b) -> list:
+    """a - b for normalized sets: the parts of each interval of ``a``
+    outside every interval of ``b``, again a normalized set (the parts are
+    nonempty, ordered, and part from part by an interval of ``b``)."""
     out = []
-    for (loc, lo, hi) in iset_normalize(a):
+    for (loc, lo, hi) in a:
         parts = [(lo, hi)]
         for (bl, blo, bhi) in b:
             if bl == loc:
@@ -400,26 +405,54 @@ def iset_subtract(a, b):
                     o for (l, h) in parts for o in _outside(l, h, blo, bhi)
                 ]
         out.extend((loc, l, h) for (l, h) in parts)
-    return iset_normalize(out)
+    return out
 
 
-def iset_mass(iset) -> ExtMass:
-    total = Zero
-    for (_, lo, hi) in iset_normalize(iset):
+def _mass(nset, total):
+    """``total`` plus the mass of a normalized set: ``INF`` when the set is
+    unbounded."""
+    for (_, lo, hi) in nset:
         if is_inf(hi):
             return INF
         total += hi - lo
     return total
 
 
-def image_intervals(h: PLMap, iset):
+def _by_src(pieces) -> dict:
+    """(src, lo, hi, dst, a, s) pieces as their (lo, hi, dst, a, s) parts
+    listed by source location, in order."""
+    by_src: dict = {}
+    for (src, lo, hi, dst, a, s) in pieces:
+        by_src.setdefault(src, []).append((lo, hi, dst, a, s))
+    return by_src
+
+
+def _images(by_src: dict, nset) -> list:
+    """The images of a normalized set's intervals, clipped to each piece of
+    :func:`_by_src` that meets them; not normalized."""
     out = []
-    for (loc, lo, hi) in iset_normalize(iset):
-        for p in h.pieces:
-            o = _clip(p.lo, p.hi, lo, hi) if p.src == loc else None
-            if o:
-                out.append((p.dst, *_image(p.a, p.slope, *o)))
-    return iset_normalize(out)
+    for (loc, lo, hi) in nset:
+        for (p_lo, p_hi, dst, a, s) in by_src.get(loc, ()):
+            # the cheap test first: most pieces of a ray end before a cut
+            if lo < p_hi and p_lo < hi:
+                out.append((dst, *_image(a, s, max(p_lo, lo), min(p_hi, hi))))
+    return out
+
+
+def iset_subtract(a, b):
+    """Measure-exact difference a - b of interval sets."""
+    return _subtract(iset_normalize(a), iset_normalize(b))
+
+
+def iset_mass(iset) -> ExtMass:
+    return _mass(iset_normalize(iset), Zero)
+
+
+def image_intervals(h: PLMap, iset):
+    pieces = _by_src(
+        (p.src, p.lo, p.hi, p.dst, p.a, p.slope) for p in h.pieces
+    )
+    return iset_normalize(_images(pieces, iset_normalize(iset)))
 
 
 def invert_plmap(h: PLMap) -> PLMap:
@@ -467,14 +500,19 @@ def _split(seg, m: int):
 
 def _take_front(queue: list, m: int) -> list:
     """Remove and return the segments holding the queue's first m of mass."""
+    # the common case: the first segment holds more than m, so it is split
+    if m and queue and queue[0][2] > m:
+        seg, queue[0] = _split(queue[0], m)
+        return [seg]
     taken = []
     while m:
         if not queue:
             raise RealizationError("move takes more mass than the region holds")
-        seg = queue.pop(0)
+        seg = queue[0]
         if seg[2] > m:
-            seg, rest = _split(seg, m)
-            queue.insert(0, rest)
+            seg, queue[0] = _split(seg, m)
+        else:
+            del queue[0]
         taken.append(seg)
         m -= seg[2]
     return taken
@@ -482,6 +520,10 @@ def _take_front(queue: list, m: int) -> list:
 
 def _take_back(queue: list, m: int) -> list:
     """Remove and return the segments holding the queue's last m of mass."""
+    # the common case: the last segment holds more than m, so it is split
+    if m and queue and queue[-1][2] > m:
+        queue[-1], seg = _split(queue[-1], queue[-1][2] - m)
+        return [seg]
     taken = []
     while m:
         if not queue:
@@ -490,22 +532,34 @@ def _take_back(queue: list, m: int) -> list:
         if seg[2] > m:
             rest, seg = _split(seg, seg[2] - m)
             queue.append(rest)
-        taken.insert(0, seg)
+        taken.append(seg)
         m -= seg[2]
+    taken.reverse()
     return taken
 
 
-def _join(front: list, back: list) -> list:
-    """front followed by back, merging the two segments at the seam when
-    they are contiguous in the source."""
-    if front and back:
-        loc, start, m, d = front[-1]
-        loc2, start2, m2, d2 = back[0]
+def _join(queue: list, segs: list, front: bool) -> None:
+    """Put ``segs`` in front of ``queue`` (``front``) or behind it, in
+    place, merging the two segments at the seam when they are contiguous
+    in the source."""
+    if queue and segs:
+        if front:
+            (loc, start, m, d), (loc2, start2, m2, d2) = segs[-1], queue[0]
+        else:
+            (loc, start, m, d), (loc2, start2, m2, d2) = queue[-1], segs[0]
         seam = start + m == start2 if d > 0 else start2 + m2 == start
         if loc == loc2 and d == d2 and seam:
             merged = (loc, min(start, start2), m + m2, d)
-            return front[:-1] + [merged] + back[1:]
-    return front + back
+            if front:
+                queue[0] = merged
+                segs.pop()
+            else:
+                queue[-1] = merged
+                del segs[0]
+    if front:
+        queue[:0] = segs
+    else:
+        queue += segs
 
 
 def _reverse(queue: list) -> list:
@@ -565,9 +619,9 @@ class _PLBuilder:
         parent, child = edge
         q = self.queues
         if d > 0:
-            q[child] = _join(_take_back(q[parent], d), q[child])
+            _join(q[child], _take_back(q[parent], d), True)
         elif d < 0:
-            q[parent] = _join(q[parent], _take_front(q[child], -d))
+            _join(q[parent], _take_front(q[child], -d), False)
 
     def to_plmap(self) -> PLMap:
         """Lay every region out at unit density and invert.
@@ -641,13 +695,14 @@ def realize_word(star: RayStar, word: MoveWord) -> PLMap:
     # the runner shares the builder's unit and reads each move once before
     # the builder sees it, so a shuffle is decomposed on the runner's ints
     for runner, mv, read in _walk(word, builder.unit):
-        if isinstance(mv, Rearrange):
+        # a balloon move, the common case, is known by its exact type
+        if type(mv) is BalloonMove or not isinstance(mv, Rearrange):
+            builder._shift(mv.edge, read)
+        else:
             new = {v: runner.blocks[v] for v in mv.support}
             anchor = tree.top(mv.support)
             for edge, d in _rearrangement_moves(tree, anchor, read, new):
                 builder._shift(edge, d)
-        else:
-            builder._shift(mv.edge, read)
     _require_preserving(word, _replay(word))
     return builder.to_plmap()
 
@@ -659,25 +714,77 @@ def oracle_cuts(h: PLMap, count: int) -> List[Fraction]:
     return [first + 7 * k for k in range(count)]
 
 
+def _int_view(h: PLMap, star: RayStar, cut: Fraction):
+    """``(star, base, unit, rays, pieces)``: the map and the star's rays in
+    ints counting units 1/unit, for :func:`charge_from_definition`.
+
+    ``pieces`` are the map's pieces by source location (:func:`_by_src`)
+    and ``rays`` each ray's End leaf id and length.  ``base`` is the lcm
+    of the denominators of the pieces' ends and offsets, of the finite ray
+    lengths and of every cut read so far, and ``unit`` is ``base`` times
+    the lcm of the slopes' denominators, so the image a + s * x of a whole
+    number of units 1/base is a whole number of units 1/unit.  A slope is
+    kept as an int when it is integral (a realized map's are +-1).  The
+    pieces are read once per map and star; a cut that ``base`` does not
+    cover scales the kept view up.  The view is kept in the map's instance
+    dict, as its last breakpoint is: it is no field, so ``repr`` and
+    equality do not see it."""
+    view = vars(h).get("_int_view")
+    if view is None or view[0] is not star:
+        pieces = [(p.src, p.lo, p.hi, p.dst, p.a, p.slope) for p in h.pieces]
+        lengths = [star.ray_length(i) for i in range(star.ray_count)]
+        xs = [x for (_, lo, hi, _, a, _) in pieces for x in (lo, hi, a)]
+        base = math.lcm(
+            *(x.denominator for x in xs + lengths if not is_inf(x))
+        )
+        unit = base * math.lcm(*(p[5].denominator for p in pieces))
+        read = partial(_in_units, unit=unit)
+        rays = [(star.end_id(i), read(m)) for i, m in enumerate(lengths)]
+        pieces = _by_src(
+            (src, read(lo), read(hi), dst, read(a),
+             s.numerator if s.denominator == 1 else s)
+            for (src, lo, hi, dst, a, s) in pieces
+        )
+        view = (star, base, unit, rays, pieces)
+    star, base, unit, rays, pieces = view
+    k = cut.denominator // math.gcd(base, cut.denominator)
+    if k > 1:
+        def scale(x):
+            return x if is_inf(x) else x * k
+
+        rays = [(end, scale(m)) for end, m in rays]
+        pieces = {
+            src: [(lo * k, scale(hi), dst, a * k, s) for lo, hi, dst, a, s in q]
+            for src, q in pieces.items()
+        }
+        view = (star, base * k, unit * k, rays, pieces)
+    vars(h)["_int_view"] = view
+    return view
+
+
 def charge_from_definition(star: RayStar, h: PLMap, cut) -> EndCharge:
     """End charge read off the raw definition: for each ray end, with C
-    the tail beyond the cut, mass(C - h(C)) - mass(h(C) - C)."""
+    the tail beyond the cut, mass(C - h(C)) - mass(h(C) - C).  The sets
+    are computed on the map's int view (:func:`_int_view`), the image of
+    C is normalized once, and each end's value is made a Fraction once."""
     T = as_frac(cut)
     if T <= h.last_breakpoint():
         raise CutTooShallowError(
             f"cut {T} not beyond the last breakpoint {h.last_breakpoint()}"
         )
+    _, _, unit, rays, pieces = _int_view(h, star, T)
+    t = T.numerator * (unit // T.denominator)
     values = {}
-    for i in range(star.ray_count):
-        length = star.ray_length(i)
-        if T >= length:
-            values[star.end_id(i)] = Zero
+    for i, (end, length) in enumerate(rays):
+        if t >= length:
+            values[end] = Zero
             continue
-        region = [(i, T, length)]
-        image = image_intervals(h, region)
-        gained = iset_mass(iset_subtract(region, image))
-        lost = iset_mass(iset_subtract(image, region))
-        values[star.end_id(i)] = gained - lost
+        region = [(i, t, length)]
+        image = iset_normalize(_images(pieces, region))
+        gained = _mass(_subtract(region, image), 0)
+        lost = _mass(_subtract(image, region), 0)
+        diff = gained - lost
+        values[end] = diff if is_inf(diff) else Fraction(diff, unit)
     return EndCharge(star.to_tree(), values)
 
 

@@ -9,18 +9,23 @@ loaders drop no key unread.  A JSON object that repeats a key is refused
 as it is read (:func:`_unique_keys`), and each loader refuses a key no
 reader takes through :func:`_check_keys`, after its other checks.  A
 tree holds its ``root`` and ``nodes`` (and, being a star document, its
-``star`` header); a measure holds its ``blocks`` and ``tails`` alone, and
-a morphism its ``source``, ``target`` and ``map``.  A tree node entry
-needs children, a weight or a leaf tag, and holds no other key: an End
-leaf takes no weight, and a leaf tag holds its ``kind`` and, for an End
-leaf, its ``tail``.  A word holds its ``moves`` alone, each move exactly
-one of ``balloon`` (an ``edge`` and an ``amount``) and ``rearrange`` (a
+``star`` header); a measure holds its ``blocks`` and ``tails`` alone,
+and a morphism its ``source``, ``target`` and ``map``.  A tree node
+entry needs children, a weight or a leaf tag, and holds no other key: an
+End leaf takes no weight, and a leaf tag holds its ``kind`` and, for an
+End leaf, its ``tail``.  A canonical entry (a block's ``id``,
+``children``, ``weight`` and a null ``leaf``, or an End leaf's ``id``,
+``children`` and ``leaf`` tag of ``kind`` "end" and its ``tail``, every
+id and rational a string) is accepted after one test; any other entry
+goes through every check in order, and the first it fails names its
+fault.  A word holds its ``moves`` alone, each move exactly one of
+``balloon`` (an ``edge`` and an ``amount``) and ``rearrange`` (a
 ``support`` and its ``masses``); a charge is a flat map of End leaves or
 a ``values`` mapping alone.  A star document holds its tree's ``root``
 and ``nodes`` and a ``star`` header of ``rays`` and ``depth``, and must
-be the star's canonical tree: a relabeled tree, swapped rays or cells, an
-unfitting header, a shared end, an end with a child, a stray node or a
-Closed leaf is a SchemaError naming the first node where it differs.
+be the star's canonical tree: a relabeled tree, swapped rays or cells,
+an unfitting header, a shared end, an end with a child, a stray node or
+a Closed leaf is a SchemaError naming the first node where it differs.
 """
 
 from __future__ import annotations
@@ -140,45 +145,36 @@ def tree_from_json(doc: dict) -> BalloonTree:
     tails = {}
     closed = set()
     for entry in nodes:
-        vid = _need(entry, "id", str, "tree node")
-        if vid in children:
-            raise SchemaError(f"tree node {vid!r}: repeated id")
-        kids = entry.get("children", [])
-        if not isinstance(kids, list) or not all(isinstance(c, str) for c in kids):
-            raise SchemaError(f"tree node {vid!r}: bad children list")
-        children[vid] = tuple(kids)
-        leaf = entry.get("leaf")
-        if leaf is not None and not isinstance(leaf, dict):
-            raise SchemaError(f"tree node {vid!r}: bad leaf tag")
-        kind = leaf.get("kind") if leaf else None
-        if kind == "end":
+        # a canonical block or End entry, with its ids and rationals str, is
+        # accepted after one test; any other entry is read by _read_node,
+        # whose checks name its fault
+        if (
+            type(entry) is dict
+            and type(vid := entry.get("id")) is str
+            and vid not in children
+            and type(kids := entry.get("children")) is list
+            and all(type(c) is str for c in kids)
+            and (
+                (keys := entry.keys()) == _BLOCK_KEYS
+                and entry["leaf"] is None
+                and type(text := entry["weight"]) is str
+                or keys == _ENTRY_KEYS["end"]
+                and type(leaf := entry["leaf"]) is dict
+                and leaf.keys() == _TAG_KEYS["end"]
+                and leaf["kind"] == "end"
+                and type(text := leaf["tail"]) is str
+            )
+        ):
+            children[vid] = tuple(kids)
             try:
-                tails[vid] = mass(_need(leaf, "tail", str, "end leaf"))
+                if "weight" in entry:
+                    weights[vid] = frac(text)
+                else:
+                    tails[vid] = mass(text)
             except ValueError as e:
                 raise SchemaError(f"tree node {vid!r}: {e}") from None
-        elif kind == "closed" or kind is None:
-            if kind == "closed":
-                closed.add(vid)
-            if "weight" in entry:
-                try:
-                    weights[vid] = frac(entry["weight"])
-                except ValueError as e:
-                    raise SchemaError(f"tree node {vid!r}: {e}") from None
-            elif kind is None and not kids:
-                # the tree would keep nothing of it, so no check could see it
-                raise SchemaError(
-                    f"tree node {vid!r}: no children, weight or leaf tag"
-                )
         else:
-            raise SchemaError(f"tree node {vid!r}: unknown leaf kind {kind!r}")
-        # a key no reader takes (a weight on an End leaf among them) would
-        # be dropped unread, so it is refused
-        note = " on an End leaf" if kind == "end" else ""
-        _check_keys(entry, _ENTRY_KEYS[kind], "tree node", vid, note)
-        if leaf:
-            _check_keys(
-                leaf, _TAG_KEYS[kind], "tree node", vid, " in its leaf tag"
-            )
+            _read_node(entry, frac, mass, (children, weights, tails, closed))
     _check_keys(doc, _TREE_KEYS, "tree")
     return BalloonTree(
         root=root,
@@ -187,6 +183,52 @@ def tree_from_json(doc: dict) -> BalloonTree:
         tails=tails,
         closed=frozenset(closed),
     )
+
+
+def _read_node(entry, frac, mass, parts) -> None:
+    """Read a tree node entry into ``parts``, the children, weights, tails
+    and Closed leaves read so far, with every check that names a fault in
+    a node entry, in order."""
+    children, weights, tails, closed = parts
+    vid = _need(entry, "id", str, "tree node")
+    if vid in children:
+        raise SchemaError(f"tree node {vid!r}: repeated id")
+    kids = entry.get("children", [])
+    if not isinstance(kids, list) or not all(isinstance(c, str) for c in kids):
+        raise SchemaError(f"tree node {vid!r}: bad children list")
+    children[vid] = tuple(kids)
+    leaf = entry.get("leaf")
+    if leaf is not None and not isinstance(leaf, dict):
+        raise SchemaError(f"tree node {vid!r}: bad leaf tag")
+    kind = leaf.get("kind") if leaf else None
+    if kind == "end":
+        try:
+            tails[vid] = mass(_need(leaf, "tail", str, "end leaf"))
+        except ValueError as e:
+            raise SchemaError(f"tree node {vid!r}: {e}") from None
+    elif kind == "closed" or kind is None:
+        if kind == "closed":
+            closed.add(vid)
+        if "weight" in entry:
+            try:
+                weights[vid] = frac(entry["weight"])
+            except ValueError as e:
+                raise SchemaError(f"tree node {vid!r}: {e}") from None
+        elif kind is None and not kids:
+            # the tree would keep nothing of it, so no check could see it
+            raise SchemaError(
+                f"tree node {vid!r}: no children, weight or leaf tag"
+            )
+    else:
+        raise SchemaError(f"tree node {vid!r}: unknown leaf kind {kind!r}")
+    # a key no reader takes (a weight on an End leaf among them) would
+    # be dropped unread, so it is refused
+    note = " on an End leaf" if kind == "end" else ""
+    _check_keys(entry, _ENTRY_KEYS[kind], "tree node", vid, note)
+    if leaf:
+        _check_keys(
+            leaf, _TAG_KEYS[kind], "tree node", vid, " in its leaf tag"
+        )
 
 
 # -- measure states -----------------------------------------------------------

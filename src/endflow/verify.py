@@ -3,9 +3,10 @@
 A suite is a check of one case: called with a generator, it draws one
 instance and yields a message for each property that fails there, so a
 case that yields nothing held exactly.  :func:`run_suite` is the only
-code that seeds a suite's generator, loops over its cases, labels each
-message ``case i:`` (and a case that raises as its failure) and builds
-the report dict of the case count and the failure list.
+code that seeds a case's generator (one per case, so any case can be
+rerun alone), loops over the cases, labels each message ``case i:`` (and
+a case that raises as its failure) and builds the report dict of the
+case count and the failure list.
 ``solve_flux_by_elimination`` is the independent oracle for the forced
 flux: it sets up the conservation equations over the edges and solves
 them by plain Gaussian elimination, never looking at subtree sums.
@@ -330,19 +331,19 @@ SUITES: Dict[str, Callable[[Random], Iterator[str]]] = {
 }
 
 
-def run_suite(name: str, seed: int, cases: int) -> dict:
-    """Run ``cases`` cases of one suite and report its failures, each
-    labelled ``case i:``.  The suite draws on its own generator, seeded by
-    the run's seed and the suite's name, so it draws the same cases
-    whichever suites run with it.  A case that raises fails with the
+def run_suite(name: str, seed: int, cases: int, first: int = 0) -> dict:
+    """Run ``cases`` cases of one suite, from case ``first`` on, and report
+    their failures, each labelled ``case i:``.  Case ``i`` draws on its own
+    generator, seeded by the run's seed, the suite's name and ``i``, so it
+    draws the same instance whichever cases and suites run with it, and a
+    failing case can be rerun alone.  A case that raises fails with the
     exception, after the messages it yielded, and the next case still
     runs."""
     check = SUITES[name]
-    rng = Random(f"{seed}:{name}")
     failures = []
-    for i in range(cases):
+    for i in range(first, first + cases):
         try:
-            for msg in check(rng):
+            for msg in check(Random(f"{seed}:{name}:{i}")):
                 failures.append(f"case {i}: {msg}")
         except Exception as e:
             failures.append(f"case {i}: raised {type(e).__name__}: {e}")

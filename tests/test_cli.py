@@ -316,6 +316,10 @@ INVALID_INPUTS = {
         "verify", "--suite", "homomorphism", "--cases", "-3"
     ],
     "verify_empty_suite": ["verify", "--suite", ""],
+    "verify_negative_case": [
+        "verify", "--suite", "homomorphism", "--case", "-1"
+    ],
+    "verify_case_without_suite": ["verify", "--case", "2"],
     "validate_missing_tails_with_charge": [
         "validate", "--tree", "{tree}", "--measure", "{measure_no_tails}",
         "--charge", "{charge}",

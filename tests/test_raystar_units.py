@@ -23,6 +23,7 @@ from random import Random
 
 import pytest
 
+import endflow.raystar as raystar
 from endflow.errors import (
     ChargeUndefinedError,
     CutTooShallowError,
@@ -558,8 +559,70 @@ def test_an_oracle_request_scans_for_the_last_breakpoint_once(monkeypatch):
     _oracle_request(*_request_docs(), pieces=_CountedPieces)
     readers = _CountedPieces.readers
     assert readers.count("last_breakpoint") == 1
-    # the definition reads the image of each ray's tail: 4 rays, 3 cuts
-    assert readers.count("image_intervals") == 12
+    # the definition reads the pieces into ints once, for 4 rays and 3 cuts
+    assert readers.count("_int_view") == 1
+
+
+def test_the_pieces_are_read_into_ints_once_per_map(monkeypatch):
+    monkeypatch.setattr(_CountedPieces, "readers", [])
+    star, h = _oracle_request(*_request_docs(finite=(2,)), pieces=_CountedPieces)
+    # the request checked 3 cuts against the flux charge; more cuts, the
+    # last one off the view's unit, which scales the view up
+    want = charge_from_definition(star, h, oracle_cuts(h, 1)[0])
+    odd = h.last_breakpoint() + Fraction(1, 9973)
+    for cut in oracle_cuts(h, 6) + [odd]:
+        assert charge_from_definition(star, h, cut) == want
+    assert vars(h)["_int_view"][1] % 9973 == 0
+    assert sorted(_CountedPieces.readers) == ["_int_view", "last_breakpoint"]
+
+
+def test_a_definition_read_normalizes_each_set_once_per_ray(monkeypatch):
+    star, h = _oracle_request(*_request_docs())
+    calls = {}
+    counted = _counting(calls, "iset_normalize", raystar.iset_normalize)
+    monkeypatch.setattr(raystar, "iset_normalize", counted)
+    for cut in oracle_cuts(h, 3):
+        calls.clear()
+        charge_from_definition(star, h, cut)
+        assert calls["iset_normalize"] <= star.ray_count
+
+
+def _definition_by_fraction_sets(star, h, cut):
+    """The definition read through the public Fraction interval sets."""
+    values = {}
+    for i in range(star.ray_count):
+        length = star.ray_length(i)
+        region = [(i, cut, length)]
+        image = raystar.image_intervals(h, region)
+        values[star.end_id(i)] = (
+            Zero
+            if cut >= length
+            else raystar.iset_mass(raystar.iset_subtract(region, image))
+            - raystar.iset_mass(raystar.iset_subtract(image, region))
+        )
+    return values
+
+
+def test_the_int_view_reads_as_the_fraction_sets():
+    star, h = _oracle_request(*_request_docs(finite=(1, 3)))
+    first = h.last_breakpoint() + 1
+    for cut in [first, first + 7, first + Fraction(2, 7), first + 40]:
+        got = charge_from_definition(star, h, cut).values
+        assert got == _definition_by_fraction_sets(star, h, cut)
+    # a tail piece of slope 3/2 and offset 1/3: the unit takes the slopes'
+    # denominators, and the image is still read exactly
+    two = RayStar(One, ((One, One), (One, One)), (INF, Fraction(3)))
+    pieces = (
+        Piece(0, Zero, Fraction(3), 0, Zero, One),
+        Piece(0, Fraction(3), INF, 0, Fraction(1, 3), Fraction(3, 2)),
+        Piece(1, Zero, Fraction(5), 1, Fraction(5), -One),
+        Piece(2, Zero, One, 2, Zero, One),
+    )
+    h = PLMap(two, pieces)
+    for cut in (Fraction(11, 2), Fraction(6), Fraction(65, 11)):
+        got = charge_from_definition(two, h, cut).values
+        assert got == _definition_by_fraction_sets(two, h, cut)
+    assert got["r0e"] == Fraction(1, 3) + Fraction(65, 22)
 
 
 def test_a_kept_breakpoint_changes_no_repr_or_error_text():
@@ -584,6 +647,10 @@ def test_a_kept_breakpoint_changes_no_repr_or_error_text():
     assert fresh.last_breakpoint() == scanned
     assert "_last_breakpoint" in vars(fresh)
     assert repr(fresh) == shown
+    # nor does the int view the definition reads
+    charge_from_definition(star, fresh, scanned + 1)
+    assert "_int_view" in vars(fresh)
+    assert repr(fresh) == shown
     assert fresh != PLMap(star, h.pieces)  # equality stays identity
 
 
@@ -607,6 +674,45 @@ KERNELS = {
 }
 
 
+def _fraction_callers(stats, kernels):
+    """``caller -> callee`` for each call a kernel makes into ``fractions``."""
+    return sorted(
+        f"{kernels[caller]} -> {func[2]}"
+        for func, (_, _, _, _, callers) in stats.items()
+        if func[0] == fractions.__file__
+        for caller in callers
+        if caller in kernels
+    )
+
+
+def test_the_definition_reads_call_no_fraction_code():
+    """Per ray, the tail's image is clipped, normalized, subtracted and
+    measured on ints, and each end's value is made a Fraction once."""
+    star, h = _oracle_request(*_request_docs(finite=(2,)))
+    kernels = {
+        _key(f): f.__name__
+        for f in (
+            raystar._images,
+            raystar._image,
+            raystar.iset_normalize,
+            raystar._subtract,
+            raystar._outside,
+            raystar._mass,
+        )
+    }
+    prof = cProfile.Profile()
+    prof.enable()
+    for cut in oracle_cuts(h, 3):
+        charge_from_definition(star, h, cut)
+    prof.disable()
+    stats = pstats.Stats(prof).stats
+    assert set(kernels) <= set(stats), "a definition kernel never ran"
+    assert not _fraction_callers(stats, kernels)
+    # one Fraction per infinite end and cut; the finite end reads zero
+    made = stats[_key(Fraction.__new__)][4][_key(charge_from_definition)]
+    assert made[0] == 3 * len(_infinite_ends(star)) == 9
+
+
 def test_queue_kernels_call_no_fraction_code():
     """A 4-ray star of depth 32 and a word of ~2.6k moves."""
     rng = Random("raystar-kernels")
@@ -625,11 +731,5 @@ def test_queue_kernels_call_no_fraction_code():
     assert set(KERNELS) <= set(stats), "a queue kernel never ran"
     # every balloon move and every step of a decomposed shuffle shifts
     assert stats[_key(_PLBuilder._shift)][1] >= len(word)
-    offenders = sorted(
-        f"{KERNELS[caller]} -> {func[2]}"
-        for func, (_, _, _, _, callers) in stats.items()
-        if func[0] == fractions.__file__
-        for caller in callers
-        if caller in KERNELS
-    )
+    offenders = _fraction_callers(stats, KERNELS)
     assert not offenders, offenders

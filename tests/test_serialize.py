@@ -1,6 +1,7 @@
 import json
 import re
 from fractions import Fraction
+from functools import partial
 from random import Random
 
 import pytest
@@ -15,6 +16,7 @@ from endflow.gen import (
     random_star,
     random_state,
     random_tree,
+    random_valid_charge,
 )
 from endflow.measure import base_state
 from endflow.serialize import (
@@ -197,6 +199,121 @@ def test_a_key_no_reader_takes_is_refused(edit, error):
     edit(doc["nodes"])
     with pytest.raises(SchemaError) as err:
         tree_from_json(doc)
+    assert str(err.value) == error
+
+
+_END = {"kind": "end", "tail": "inf"}
+
+# a node entry with one fault, and the error naming it.  The canonical
+# block and End entries are read after one test; every entry here fails
+# that test or is canonical in shape with a fault the test leaves to the
+# reader (a repeated id, a rational that does not parse), and each is
+# named by the first of the entry checks it fails, in their order
+NODE_FAULTS = {
+    "not_an_object": ("z", "tree node: missing key 'id'"),
+    "a_list": (["z"], "tree node: missing key 'id'"),
+    "missing_id": (
+        {"children": [], "leaf": _END}, "tree node: missing key 'id'"
+    ),
+    "id_not_a_str": (
+        {"id": 7, "children": [], "leaf": _END},
+        "tree node: key 'id' has the wrong type",
+    ),
+    "repeated_block_id": (
+        {"id": "a", "children": [], "weight": "1", "leaf": None},
+        "tree node 'a': repeated id",
+    ),
+    "repeated_end_id": (
+        {"id": "e", "children": [], "leaf": _END},
+        "tree node 'e': repeated id",
+    ),
+    "children_not_a_list": (
+        {"id": "z", "children": "e", "weight": "1", "leaf": None},
+        "tree node 'z': bad children list",
+    ),
+    "child_id_not_a_str": (
+        {"id": "z", "children": [3], "weight": "1", "leaf": None},
+        "tree node 'z': bad children list",
+    ),
+    "leaf_tag_not_an_object": (
+        {"id": "z", "children": [], "leaf": "end"},
+        "tree node 'z': bad leaf tag",
+    ),
+    "unknown_leaf_kind": (
+        {"id": "z", "children": [], "leaf": {"kind": "mystery"}},
+        "tree node 'z': unknown leaf kind 'mystery'",
+    ),
+    "leaf_kind_not_a_str": (
+        {"id": "z", "children": [], "leaf": {"kind": 1, "tail": "inf"}},
+        "tree node 'z': unknown leaf kind 1",
+    ),
+    "weight_on_end_leaf": (
+        {"id": "z", "children": [], "weight": "1", "leaf": _END},
+        "tree node 'z': unexpected key 'weight' on an End leaf",
+    ),
+    "stray_key_in_block": (
+        {"id": "z", "children": [], "weight": "1", "leaf": None, "zz": 1},
+        "tree node 'z': unexpected key 'zz'",
+    ),
+    "stray_key_in_end": (
+        {"id": "z", "children": [], "leaf": _END, "zz": 1},
+        "tree node 'z': unexpected key 'zz' on an End leaf",
+    ),
+    "stray_key_in_end_tag": (
+        {"id": "z", "children": [], "leaf": dict(_END, zz=1)},
+        "tree node 'z': unexpected key 'zz' in its leaf tag",
+    ),
+    "stray_key_in_closed_tag": (
+        {"id": "z", "children": [], "weight": "1",
+         "leaf": {"kind": "closed", "zz": 1}},
+        "tree node 'z': unexpected key 'zz' in its leaf tag",
+    ),
+    "weight_does_not_parse": (
+        {"id": "z", "children": [], "weight": "x", "leaf": None},
+        "tree node 'z': bad rational 'x': expected 'p/q' or 'p'",
+    ),
+    "weight_not_a_str": (
+        {"id": "z", "children": [], "weight": 1, "leaf": None},
+        "tree node 'z': rational must be a string, got int",
+    ),
+    "weight_inf": (
+        {"id": "z", "children": [], "weight": "inf", "leaf": None},
+        "tree node 'z': bad rational 'inf': expected 'p/q' or 'p'",
+    ),
+    "tail_does_not_parse": (
+        {"id": "z", "children": [], "leaf": {"kind": "end", "tail": "1.5"}},
+        "tree node 'z': bad rational '1.5': expected 'p/q' or 'p'",
+    ),
+    "tail_not_a_str": (
+        {"id": "z", "children": [], "leaf": {"kind": "end", "tail": 2}},
+        "tree node 'z': end leaf: key 'tail' has the wrong type",
+    ),
+    "tail_missing": (
+        {"id": "z", "children": [], "leaf": {"kind": "end"}},
+        "tree node 'z': end leaf: missing key 'tail'",
+    ),
+    "no_children_weight_or_tag": (
+        {"id": "z", "children": [], "leaf": None},
+        "tree node 'z': no children, weight or leaf tag",
+    ),
+    "bad_weight_before_stray_key": (
+        {"id": "z", "children": [], "weight": "x", "leaf": None, "zz": 1},
+        "tree node 'z': bad rational 'x': expected 'p/q' or 'p'",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, error", NODE_FAULTS.values(), ids=NODE_FAULTS.keys()
+)
+def test_each_node_entry_fault_is_named(entry, error):
+    nodes = [
+        {"id": "a", "weight": "4", "children": ["e", "z"], "leaf": None},
+        {"id": "e", "children": [], "leaf": _END},
+        entry,
+    ]
+    with pytest.raises(SchemaError) as err:
+        tree_from_json({"root": "a", "nodes": nodes})
     assert str(err.value) == error
 
 
@@ -506,3 +623,102 @@ def test_star_document_survives_a_round_trip(rng):
     doc = star_to_json(star)
     back = star_from_json(_through_text(doc))
     assert json.dumps(star_to_json(back)) == json.dumps(doc)
+
+
+# -- every accepted document reads back as itself --------------------------------
+# A document drawn through ``gen`` is respelled: its object keys shuffled and
+# each rational written another way with the same value.  Loading it and
+# writing it out again must give the drawn document back, so it equals the
+# respelled one up to key order and equal rationals.
+
+_RATIONAL_TEXT = re.compile(r"^-?\d+(/\d+)?$")
+
+
+def _respell(rng, doc):
+    if isinstance(doc, dict):
+        items = list(doc.items())
+        rng.shuffle(items)
+        return {k: _respell(rng, v) for k, v in items}
+    if isinstance(doc, list):
+        return [_respell(rng, v) for v in doc]
+    if isinstance(doc, str) and _RATIONAL_TEXT.match(doc):
+        x = parse_frac(doc)
+        k = rng.randint(1, 3)
+        text = f"{x.numerator * k}/{x.denominator * k}"
+        return "+" + text if x >= 0 and rng.random() < 0.5 else text
+    return doc
+
+
+def _same(a, b):
+    """Equal up to key order and equal rationals."""
+    if isinstance(a, dict):
+        return (
+            isinstance(b, dict)
+            and a.keys() == b.keys()
+            and all(_same(a[k], b[k]) for k in a)
+        )
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, str) and isinstance(b, str) and a != b:
+        try:
+            return parse_mass(a) == parse_mass(b)
+        except ValueError:
+            return False
+    return type(a) is type(b) and a == b
+
+
+def _drawn_docs(rng):
+    """(document, writer, reader) of each kind, drawn through ``gen``."""
+    t = _tree(rng)
+    mu = random_state(rng, t)
+    word = random_preserving_word(
+        rng, t, mu, transfers=rng.randint(0, 4), shuffles=rng.randint(0, 3)
+    )
+    pi = random_morphism(rng, max_depth=rng.randint(1, 4))
+    star = random_star(
+        rng, max_rays=rng.randint(2, 5), max_depth=rng.randint(1, 4)
+    )
+    yield tree_to_json(t), tree_to_json, tree_from_json
+    yield state_to_json(mu), state_to_json, partial(state_from_json, t)
+    charge = random_valid_charge(rng, t, mu)
+    yield charge_to_json(charge), charge_to_json, partial(charge_from_json, t)
+    yield word_to_json(word), word_to_json, partial(word_from_json, t, mu)
+    yield morphism_to_json(pi), morphism_to_json, morphism_from_json
+    yield star_to_json(star), star_to_json, star_from_json
+
+
+@given(rng=rngs)
+def test_an_accepted_document_reads_back_as_itself(rng):
+    for doc, dump, load in _drawn_docs(rng):
+        respelled = _through_text(_respell(rng, doc))
+        back = dump(load(respelled))
+        assert back == doc
+        assert _same(back, respelled)
+
+
+_FORMS = (
+    ("closed leaf", '"kind": "closed"'),
+    ("finite tail", r'"tail": "\d'),
+    ("rearrange", '"rearrange"'),
+)
+
+
+def test_the_drawn_documents_hold_every_form():
+    """The property's draws hold Closed leaves, finite tails (in trees and
+    stars) and rearranges."""
+    seen = set()
+    for seed in range(20):
+        for doc, dump, _ in _drawn_docs(Random(seed)):
+            text = json.dumps(doc)
+            seen.update(
+                f"{dump.__name__}: {form}"
+                for form, mark in _FORMS
+                if re.search(mark, text)
+            )
+    assert {
+        "tree_to_json: closed leaf",
+        "tree_to_json: finite tail",
+        "word_to_json: rearrange",
+        "morphism_to_json: closed leaf",
+        "star_to_json: finite tail",
+    } <= seen

@@ -8,6 +8,8 @@ import sys
 from itertools import count
 from pathlib import Path
 
+import pytest
+
 from endflow.cli import main
 from endflow.errors import AlignPreconditionError
 from endflow.verify import SUITES, run_suite
@@ -55,6 +57,53 @@ def test_verify_reports_a_raising_case_as_fail(monkeypatch, tmp_path, capsys):
         "reports": [{"name": "flaky", "cases": 3, "failures": RAISED}],
         "failures": 3,
     }
+
+
+def _drawn_check(rng):
+    """Fails a property on the cases whose first draw is below 1/2, and
+    raises on those below 1/5: whether a case fails is its own draw."""
+    x = rng.random()
+    if x < 0.5:
+        yield f"drew {x}"
+    if x < 0.2:
+        raise KeyError(x)
+
+
+def test_a_case_reruns_alone_with_the_failures_it_had(monkeypatch, tmp_path):
+    monkeypatch.setitem(SUITES, "drawn", _drawn_check)
+    full = run_suite("drawn", 5, 12)["failures"]
+    for i in range(12):
+        out = tmp_path / f"case-{i}.json"
+        code = main(
+            ["verify", "--suite", "drawn", "--seed", "5", "--case", str(i),
+             "--out", str(out)]
+        )
+        alone = [f for f in full if f.startswith(f"case {i}: ")]
+        assert json.loads(out.read_text()) == {
+            "reports": [{"name": "drawn", "cases": 1, "failures": alone}],
+            "failures": len(alone),
+        }
+        assert code == (3 if alone else 0)
+    # the cases differ, so the rerun is checked on failing and passing ones
+    failing = {f.split(":")[0] for f in full}
+    assert 0 < len(failing) < 12
+    assert any(": raised KeyError" in f for f in full)
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--suite", "homomorphism", "--case", "-1"],
+         "invalid --case -1: need at least 0"),
+        (["--case", "2"], "invalid --case 2: needs --suite"),
+    ],
+    ids=["negative", "without_suite"],
+)
+def test_a_case_needs_a_suite_and_a_count_from_0(argv, error, capsys):
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"validation error: {error}\n"
 
 
 # Logs every region the difference-functional suites draw, as sorted
