@@ -7,7 +7,10 @@ strings; given the same inputs and seed the output is byte-identical.
 Exit codes: 0 success, 2 validation failure, 3 internal invariant
 violation (the feasibility sentinel or a broken ray-star realization),
 4 I/O trouble.  A validation error raised by a word's move names the
-move as ``word move i:``.
+move as ``word move i:``.  Every command reads its documents through
+``Scenario.load``, which notes each document's problems: a command
+refuses the first document that has any, and ``validate`` reports them
+all.  Options are spelled in full; an abbreviation is refused.
 
 The argument parser is built once per process, on the first ``main()``
 call, and reused by every later call; each call parses into a fresh
@@ -19,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional
 
@@ -71,7 +74,8 @@ def _emit(doc, out_path):
 
 @dataclass
 class Scenario:
-    """Everything a command references, loaded and validated."""
+    """Every document a command names, read in one order, and the
+    problems each one has."""
 
     tree: Optional[BalloonTree] = None
     measure: Optional[MeasureState] = None
@@ -79,42 +83,55 @@ class Scenario:
     charge: Optional[EndCharge] = None
     morphism: Optional[TreeMorphism] = None
     star: Optional[RayStar] = None
+    problems: dict = field(default_factory=dict)
 
     @classmethod
     def load(cls, args) -> "Scenario":
-        """Load and validate every file the command names.
-
-        The tree is ``--tree``, else the morphism's source, else the
-        star's tree; the measure defaults to the tree's reference measure.
+        """Read the files the command names (morphism, star, tree, measure,
+        word, charge) and note each document's problems; raise on one that
+        cannot be read.  The tree is ``--tree``, else the morphism's source,
+        else the star's tree.  The measure (by default the tree's reference
+        measure) is read on a tree without problems, the word and the
+        charge only when the measure has none either.
         """
         sc = cls()
+        problems = sc.problems
         if getattr(args, "morphism", None):
-            sc.morphism = serialize.morphism_from_json(
-                _read_json(args.morphism)
-            )
-            pi = sc.morphism
-            _require_valid(
-                "morphism", _tree_problems("target", pi.target) + pi.validate()
+            pi = serialize.morphism_from_json(_read_json(args.morphism))
+            sc.morphism = pi
+            source = validate_tree(pi.source)
+            problems["morphism"] = (
+                [f"source tree: {p}" for p in source]
+                + [f"target tree: {p}" for p in validate_tree(pi.target)]
+                + pi.validate()
             )
         if getattr(args, "star", None):
             try:
                 sc.star = serialize.star_from_json(_read_json(args.star))
+                # a star loads only from its canonical tree
+                problems["star"] = []
             except NonPositiveMassError as e:
-                _require_valid("star", [str(e)])
+                problems["star"] = [str(e)]
         if getattr(args, "tree", None):
             sc.tree = serialize.tree_from_json(_read_json(args.tree))
+            problems["tree"] = validate_tree(sc.tree)
         elif sc.morphism is not None:
             sc.tree = sc.morphism.source
+            problems["tree"] = source
         elif sc.star is not None:
             sc.tree = sc.star.to_tree()
+            problems["tree"] = validate_tree(sc.tree)
         else:
             return sc
-        _require_valid("tree", validate_tree(sc.tree))
+        if problems["tree"]:
+            return sc
         if getattr(args, "measure", None):
             sc.measure = serialize.state_from_json(
                 sc.tree, _read_json(args.measure)
             )
-            _require_valid("measure", sc.measure.validate())
+            problems["measure"] = sc.measure.validate()
+            if problems["measure"]:
+                return sc
         else:
             sc.measure = base_state(sc.tree)
         if getattr(args, "word", None):
@@ -127,15 +144,22 @@ class Scenario:
             )
         return sc
 
+    def valid(self) -> "Scenario":
+        """This scenario, unless a document has problems: the first one
+        in load order is refused with all of its problems."""
+        for doc, problems in self.problems.items():
+            if problems:
+                raise serialize.SchemaError(
+                    f"invalid {doc}: " + "; ".join(problems)
+                )
+        return self
 
-def _tree_problems(side: str, tree: BalloonTree) -> list:
-    """A morphism's source or target tree problems, labeled by side."""
-    return [f"{side} tree: {p}" for p in validate_tree(tree)]
 
-
-def _require_valid(what: str, problems: list):
-    if problems:
-        raise serialize.SchemaError(f"invalid {what}: " + "; ".join(problems))
+def _error_text(e) -> str:
+    """An error's message, led by ``word move i:`` when a word's move
+    raised it."""
+    move = getattr(e, "move_index", None)
+    return str(e) if move is None else f"word move {move}: {e}"
 
 
 def _require_at_least_one(flag: str, n: int):
@@ -148,69 +172,37 @@ def _flat_charge(c) -> dict:
 
 
 def cmd_validate(args) -> int:
-    report = {}
-    ok = True
-    tree = serialize.tree_from_json(_read_json(args.tree))
-    report["tree"] = validate_tree(tree)
-    ok = ok and not report["tree"]
-    if not report["tree"]:
-        mu = base_state(tree)
-        if args.measure:
-            mu = serialize.state_from_json(tree, _read_json(args.measure))
-            report["measure"] = mu.validate()
-            ok = ok and not report["measure"]
-    # the charge and word checks need a valid tree and measure
-    if ok:
-        if args.charge:
-            c = serialize.charge_from_json(tree, _read_json(args.charge))
-            report["charge"] = (
-                [] if validate_charge(mu, c) else ["charge not admissible"]
-            )
-            ok = ok and not report["charge"]
-        if args.word:
-            w = serialize.word_from_json(tree, mu, _read_json(args.word))
-            try:
-                apply_word(w)
-                report["word"] = []
-            except EndflowError as e:
-                report["word"] = [str(e)]
-                ok = False
-    if args.morphism:
-        pi = serialize.morphism_from_json(_read_json(args.morphism))
-        report["morphism"] = (
-            _tree_problems("source", pi.source)
-            + _tree_problems("target", pi.target)
-            + pi.validate()
-        )
-        ok = ok and not report["morphism"]
-    if args.star:
-        # a star loads only from its canonical tree, valid by construction
-        report["star"] = []
+    sc = Scenario.load(args)
+    report = dict(sc.problems)
+    if sc.charge is not None:
+        admissible = validate_charge(sc.measure, sc.charge)
+        report["charge"] = [] if admissible else ["charge not admissible"]
+    if sc.word is not None:
         try:
-            serialize.star_from_json(_read_json(args.star))
-        except NonPositiveMassError as e:
-            report["star"] = [str(e)]
-        ok = ok and not report["star"]
-    report["valid"] = ok
+            apply_word(sc.word)
+            report["word"] = []
+        except EndflowError as e:
+            report["word"] = [_error_text(e)]
+    report["valid"] = not any(report.values())
     _emit(report, args.out)
-    return EXIT_OK if ok else EXIT_VALIDATION
+    return EXIT_OK if report["valid"] else EXIT_VALIDATION
 
 
 def cmd_charge(args) -> int:
-    sc = Scenario.load(args)
+    sc = Scenario.load(args).valid()
     _emit(_flat_charge(charge_of_word(sc.word)), args.out)
     return EXIT_OK
 
 
 def cmd_section(args) -> int:
-    sc = Scenario.load(args)
+    sc = Scenario.load(args).valid()
     word = build_section(sc.tree, sc.measure, sc.charge)
     _emit(serialize.word_to_json(word), args.out)
     return EXIT_OK
 
 
 def cmd_factorize(args) -> int:
-    kernel, a = factorize(Scenario.load(args).word)
+    kernel, a = factorize(Scenario.load(args).valid().word)
     _emit(
         {
             "charge": _flat_charge(a),
@@ -222,7 +214,7 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_retract(args) -> int:
-    sc = Scenario.load(args)
+    sc = Scenario.load(args).valid()
     try:
         tau = parse_frac(args.tau)
     except ValueError as e:
@@ -232,7 +224,7 @@ def cmd_retract(args) -> int:
 
 
 def cmd_push(args) -> int:
-    sc = Scenario.load(args)
+    sc = Scenario.load(args).valid()
     pi = sc.morphism
     out = {"measure": serialize.state_to_json(push_measure(pi, sc.measure))}
     if sc.charge is not None:
@@ -245,7 +237,7 @@ def cmd_push(args) -> int:
 
 def cmd_oracle(args) -> int:
     _require_at_least_one("--cuts", args.cuts)
-    sc = Scenario.load(args)
+    sc = Scenario.load(args).valid()
     h = realize_word(sc.star, sc.word)
     flux_charge = charge_of_word(sc.word)
     defs = [
@@ -296,15 +288,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="endflow",
         description="End-charge calculus on balloon trees",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, text):
+        return sub.add_parser(name, help=text, allow_abbrev=False)
 
     def common(p):
         p.add_argument("--tree", required=True)
         p.add_argument("--measure")
         p.add_argument("--out")
 
-    p = sub.add_parser("validate", help="validate input files")
+    p = command("validate", "validate input files")
     common(p)
     p.add_argument("--charge")
     p.add_argument("--word")
@@ -312,28 +308,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--star")
     p.set_defaults(fn=cmd_validate)
 
-    p = sub.add_parser("charge", help="end charge of a word")
+    p = command("charge", "end charge of a word")
     common(p)
     p.add_argument("--word", required=True)
     p.set_defaults(fn=cmd_charge)
 
-    p = sub.add_parser("section", help="build a word with a given charge")
+    p = command("section", "build a word with a given charge")
     common(p)
     p.add_argument("--charge", required=True)
     p.set_defaults(fn=cmd_section)
 
-    p = sub.add_parser("factorize", help="split a word into kernel and charge")
+    p = command("factorize", "split a word into kernel and charge")
     common(p)
     p.add_argument("--word", required=True)
     p.set_defaults(fn=cmd_factorize)
 
-    p = sub.add_parser("retract", help="slide a word toward the kernel")
+    p = command("retract", "slide a word toward the kernel")
     common(p)
     p.add_argument("--word", required=True)
     p.add_argument("--tau", required=True)
     p.set_defaults(fn=cmd_retract)
 
-    p = sub.add_parser("push", help="push data along a tree morphism")
+    p = command("push", "push data along a tree morphism")
     p.add_argument("--morphism", required=True)
     p.add_argument("--measure")
     p.add_argument("--charge")
@@ -341,14 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_push)
 
-    p = sub.add_parser("oracle", help="compare flux and definition charges")
+    p = command("oracle", "compare flux and definition charges")
     p.add_argument("--star", required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--cuts", type=int, default=3)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_oracle)
 
-    p = sub.add_parser("verify", help="run the randomized invariant suites")
+    p = command("verify", "run the randomized invariant suites")
     p.add_argument("--cases", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--suite")
@@ -375,9 +371,7 @@ def main(argv=None) -> int:
         print(f"internal realization violation: {e}", file=sys.stderr)
         return EXIT_INVARIANT
     except (serialize.SchemaError, EndflowError, json.JSONDecodeError) as e:
-        move = getattr(e, "move_index", None)
-        where = "" if move is None else f"word move {move}: "
-        print(f"validation error: {where}{e}", file=sys.stderr)
+        print(f"validation error: {_error_text(e)}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)

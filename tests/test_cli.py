@@ -203,6 +203,15 @@ def invalid_files(files, star_tree):
     repeated_id = serialize.tree_to_json(star_tree)
     [u_entry] = [n for n in repeated_id["nodes"] if n["id"] == "u"]
     repeated_id["nodes"].append(dict(u_entry, weight="5"))
+    # node 'u' listed twice among the root's children
+    repeated_child = serialize.tree_to_json(star_tree)
+    [r_entry] = [n for n in repeated_child["nodes"] if n["id"] == "r"]
+    r_entry["children"].insert(0, "u")
+    # a tree with two problems: a zero weight and an unreachable block
+    two_problems = serialize.tree_to_json(star_tree)
+    [v_entry] = [n for n in two_problems["nodes"] if n["id"] == "v"]
+    v_entry["weight"] = "0"
+    two_problems["nodes"].append({"id": "z", "weight": "1", "children": []})
     # End leaf 'l1' states a mass no reader takes
     stated_mass = serialize.tree_to_json(star_tree)
     [l1_entry] = [n for n in stated_mass["nodes"] if n["id"] == "l1"]
@@ -277,6 +286,8 @@ def invalid_files(files, star_tree):
         "star_overdraw": star_overdraw,
         "star_unbalanced": star_unbalanced,
         "repeated_id_tree": repeated_id,
+        "repeated_child_tree": repeated_child,
+        "two_problems_tree": two_problems,
         "stated_mass_tree": stated_mass,
     }
     paths = {k: v for k, v in files.items() if k != "dir"}
@@ -404,6 +415,16 @@ INVALID_INPUTS = {
     ],
     "push_extra_morphism_key": ["push", "--morphism", "{extra_key_morphism}"],
     "validate_extra_tree_key": ["validate", "--tree", "{extra_key_tree}"],
+    "section_repeated_child": [
+        "section", "--tree", "{repeated_child_tree}", "--charge", "{charge}"
+    ],
+    "validate_overdrawn_block": [
+        "validate", "--tree", "{tree}", "--word", "{overdraw}"
+    ],
+    "verify_abbreviated_seed": ["verify", "--see", "1"],
+    "oracle_abbreviated_cuts": [
+        "oracle", "--star", "{star}", "--word", "{empty_word}", "--cut", "2"
+    ],
 }
 
 END_SHARED = (
@@ -478,6 +499,29 @@ LOAD_FAULTS = {
         "validation error: morphism: unexpected key 'zz'"
     ),
     "validate_extra_tree_key": "validation error: tree: unexpected key 'extra'",
+    "push_nonpositive_source_weight": (
+        "validation error: invalid morphism: source tree: "
+        "non-positive weight at 'u'"
+    ),
+    "section_repeated_child": (
+        "validation error: invalid tree: "
+        "node 'u' is listed twice among the children of 'r'"
+    ),
+}
+
+# what ``validate`` reports for a case, among the other keys of its report
+REPORTS = {
+    "validate_overdrawn_block": {
+        "word": [
+            "word move 1: block 'u' would drop to -2 moving 5 across ('u', 'l1')"
+        ]
+    },
+}
+
+# an abbreviated option is refused by the parser, with its usage text
+USAGE_ERRORS = {
+    "verify_abbreviated_seed": "endflow: error: unrecognized arguments: --see 1",
+    "oracle_abbreviated_cuts": "endflow: error: unrecognized arguments: --cut 2",
 }
 
 
@@ -491,11 +535,54 @@ def test_invalid_input_exits_2_without_traceback(invalid_files, case, argv):
     if case in LOAD_FAULTS:
         assert proc.stdout == ""
         assert proc.stderr == LOAD_FAULTS[case] + "\n"
+    elif case in USAGE_ERRORS:
+        assert proc.stdout == ""
+        assert proc.stderr.endswith("\n" + USAGE_ERRORS[case] + "\n")
     elif argv[0] == "validate":
-        assert json.loads(proc.stdout)["valid"] is False
+        report = json.loads(proc.stdout)
+        assert report["valid"] is False
+        assert report.items() >= REPORTS.get(case, {}).items()
     else:
         assert proc.stdout == ""
         assert proc.stderr.startswith("validation error: invalid ")
+
+
+# an invalid document, what it is, and a command that reads it as that
+SECTION = ["section", "--tree", "{tree}", "--charge", "{charge}"]
+VERDICTS = {
+    "repeated_child_tree": ("tree", SECTION),
+    "two_problems_tree": ("tree", SECTION),
+    "measure_nonpositive": ("measure", [
+        "charge", "--tree", "{tree}", "--measure", "{measure}", "--word", "{word}"
+    ]),
+    "measure_no_tails": ("measure", SECTION + ["--measure", "{measure}"]),
+    "bad_source_morphism": ("morphism", ["push", "--morphism", "{morphism}"]),
+    "bad_target_morphism": ("morphism", ["push", "--morphism", "{morphism}"]),
+    "bad_star": (
+        "star", ["oracle", "--star", "{star}", "--word", "{empty_word}"]
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, doc, argv", [(k, *v) for k, v in VERDICTS.items()], ids=VERDICTS
+)
+def test_validate_and_the_commands_give_one_verdict(
+    invalid_files, capsys, name, doc, argv
+):
+    """The problems a command refuses a document with are the ones
+    ``validate`` lists under that document's key."""
+    paths = dict(invalid_files, **{doc: invalid_files[name]})
+    assert main([a.format(**paths) for a in argv]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    head = f"validation error: invalid {doc}: "
+    assert printed.err.startswith(head) and printed.err.endswith("\n")
+    tree = [] if doc == "tree" else ["--tree", invalid_files["tree"]]
+    assert main(["validate", *tree, f"--{doc}", paths[doc]]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["valid"] is False
+    assert report[doc] == printed.err[len(head):-1].split("; ")
 
 
 def test_validate_reports_each_morphism_tree(invalid_files, capsys):
@@ -930,3 +1017,34 @@ def test_mutated_documents_end_in_documented_exit_codes(tmp_path, capsys):
         codes[code] = codes.get(code, 0) + 1
     # the mutations must reach past the loaders as well as into them
     assert codes.get(0, 0) > 50 and codes.get(2, 0) > 1000
+
+
+def _readme_examples():
+    """The documents of README's ``jsonc`` block, by name: each example is
+    a paragraph that opens with a ``// name: ...`` line; an example
+    written wholly as comments has no document."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    out = {}
+    for para in block.strip().split("\n\n"):
+        head, *body = para.splitlines()
+        name = head.removeprefix("//").split()[0].rstrip(":")
+        if body and not body[0].lstrip().startswith("//"):
+            out[name] = json.loads("\n".join(body))
+    return out
+
+
+def test_readme_examples_are_one_valid_scenario(tmp_path):
+    docs = _readme_examples()
+    assert sorted(docs) == ["charge", "measure", "tree", "word"]
+    argv = ["validate"]
+    for name, doc in docs.items():
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(doc))
+        argv += [f"--{name}", str(p)]
+    proc = _run_cli(*argv)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout) == {
+        "tree": [], "measure": [], "word": [], "charge": [], "valid": True
+    }
