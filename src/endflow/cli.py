@@ -293,7 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, text):
-        return sub.add_parser(name, help=text, allow_abbrev=False)
+        # each command keeps its own parser, which reports an option it
+        # does not know with the command's usage
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        p.set_defaults(parser=p)
+        return p
 
     def common(p):
         p.add_argument("--tree", required=True)
@@ -361,7 +365,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args, extra = _parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.fn(args)
     except InfeasibleTransferError as e:

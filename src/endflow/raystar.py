@@ -6,34 +6,41 @@ by cumulative mass along the ray (measure coordinate), in which the
 reference measure is unit-density, so a map preserves measure exactly
 when its pieces have unit slope.
 
-A word on the associated balloon tree is realized move by move on region
-queues: each fixed region (the center, each cell, each tail) keeps the
-ordered source segments the map sends onto it, and an edge transfer moves
-the segments holding its amount across the edge.  The queues count exact
-integer units 1/U, with U the least common multiple of the denominators
-of the star's masses and of the word's base masses, amounts and
-rearranged masses (the star adds nothing to a word based at its
-measure), and the regions are laid out on U by int prefix sums of the
-star's masses; every edge move is a whole number of units, the
-replay that checks the word runs on the same unit and hands the queues
-each amount it read (a shuffle is decomposed on its ints), and the
-pieces are converted back to Fractions once.  The star has one layout
-walk, :meth:`RayStar._layout`, generic in the number type: it gives the
-Fraction ``node_intervals`` and the builder's int intervals, in the same
-key order, over the cell and end ids the star formats once (a star read
-by :meth:`RayStar.from_tree` keeps the ids it formatted to read its
-masses).  A shuffle's edge steps send surpluses up to the support's top
-in preorder and serve deficits from it in reverse preorder, so the
-inverse shuffle's steps are this one's reversed and negated: a word
-followed by its inverse moves every segment back and realizes to the
-identity.  An edge move takes the segments holding its amount off one
-end of a region's queue (a single split in the common case) and merges
-them into the neighbouring queue in place.  A pool segment stands in for the center block; segments
-crossing between pool and rays model the mixing the center performs,
-treated as a black box (only the rays are honest 1-D geometry).  The
-interior distribution of a block is below the model's resolution, so
-each region is finally laid out at uniform density: every piece has unit
-slope and all rational data stay small.
+A word on the associated balloon tree is realized move by move on one
+segment list per location: each ray keeps the ordered source segments the
+map sends onto it, from coordinate 0 through its tail, and the center
+pool keeps those it sends onto the pool.  A ray's fixed regions (its
+cells, then its tail) cut its list into consecutive runs, and an int
+count per region says where each run ends, so an edge move inside a ray
+only shifts the boundary between two regions: two counts change and no
+segment moves.  Only a move across the center, on an edge from the pool
+to a ray's first cell, takes the segments holding its amount off one end
+of a list (a single split in the common case) and merges them into the
+other list in place.  A move that takes more than its donor region's
+count is refused: a word based off the star's measure can overdraw a
+region the star's own masses lay out, and the refusal names the move's
+index.  The lists and counts hold exact integer units 1/U, with U the
+least common multiple of the denominators of the star's masses and of
+the word's base masses, amounts and rearranged masses (the star adds
+nothing to a word based at its measure), and the regions are laid out
+on U by int prefix sums of the star's masses; every edge move is a
+whole number of units, the replay that checks the word runs on the same
+unit and hands the builder each amount it read (a shuffle is decomposed
+on its ints), and the pieces are converted back to Fractions once.  The
+star has one layout walk, :meth:`RayStar._layout`, generic in the number
+type: it gives the Fraction ``node_intervals`` and the builder's int
+intervals, in the same key order, over the cell and end ids the star
+formats once (a star read by :meth:`RayStar.from_tree` keeps the ids it
+formatted to read its masses).  A shuffle's edge steps send surpluses up
+to the support's top in preorder and serve deficits from it in reverse
+preorder, so the inverse shuffle's steps are this one's reversed and
+negated: a word followed by its inverse moves every segment back and
+realizes to the identity.  The pool's segments stand in for the center
+block; segments crossing between pool and rays model the mixing the
+center performs, treated as a black box (only the rays are honest 1-D
+geometry).  The interior distribution of a block is below the model's
+resolution, so each location is finally laid out at uniform density:
+every piece has unit slope and all rational data stay small.
 The end charge of the realized map is then recomputed from the raw
 definition - the masses of ``C - h(C)`` and ``h(C) - C`` for a tail
 region ``C`` - by exact interval arithmetic, giving an oracle fully
@@ -499,15 +506,14 @@ def _split(seg, m: int):
 
 
 def _take_front(queue: list, m: int) -> list:
-    """Remove and return the segments holding the queue's first m of mass."""
+    """Remove and return the segments holding the queue's first m of mass;
+    the caller has checked that 0 < m and that the queue holds m."""
     # the common case: the first segment holds more than m, so it is split
-    if m and queue and queue[0][2] > m:
+    if queue[0][2] > m:
         seg, queue[0] = _split(queue[0], m)
         return [seg]
     taken = []
     while m:
-        if not queue:
-            raise RealizationError("move takes more mass than the region holds")
         seg = queue[0]
         if seg[2] > m:
             seg, queue[0] = _split(seg, m)
@@ -519,15 +525,14 @@ def _take_front(queue: list, m: int) -> list:
 
 
 def _take_back(queue: list, m: int) -> list:
-    """Remove and return the segments holding the queue's last m of mass."""
+    """Remove and return the segments holding the queue's last m of mass;
+    the caller has checked that 0 < m and that the queue holds m."""
     # the common case: the last segment holds more than m, so it is split
-    if m and queue and queue[-1][2] > m:
+    if queue[-1][2] > m:
         queue[-1], seg = _split(queue[-1], queue[-1][2] - m)
         return [seg]
     taken = []
     while m:
-        if not queue:
-            raise RealizationError("move takes more mass than the region holds")
         seg = queue.pop()
         if seg[2] > m:
             rest, seg = _split(seg, seg[2] - m)
@@ -574,30 +579,36 @@ def _in_units(x: ExtMass, unit: int):
 
 
 class _PLBuilder:
-    """Tracks h by region queues: for each fixed region of the star (the
-    center, each cell, each tail), the ordered source segments that h maps
-    onto it.
+    """Tracks h by one segment list per location: for each ray, the
+    ordered source segments that h maps onto it, from coordinate 0 through
+    its tail, and for the center pool the segments h maps onto the pool.
+    A ray's fixed regions (its cells, then its tail) cut its list into
+    consecutive runs, and ``mass`` keeps each region's run length as one
+    int.
 
-    Queues hold exact ints counting units 1/U, where U is the least common
-    multiple of ``unit`` and the denominators of the star's masses (its
-    center, cells and finite tails): ``unit`` itself when it is the unit
-    of a word based at the star's measure.  Every interval end is a sum of
-    masses, so ``intervals`` (:attr:`RayStar.node_intervals` in units, in
-    the same key order) is the star's one layout walk
+    Counts and segments are exact ints counting units 1/U, where U is the
+    least common multiple of ``unit`` and the denominators of the star's
+    masses (its center, cells and finite tails): ``unit`` itself when it
+    is the unit of a word based at the star's measure.  Every interval end
+    is a sum of masses, so ``intervals`` (:attr:`RayStar.node_intervals`
+    in units, in the same key order) is the star's one layout walk
     (:meth:`RayStar._layout`) on ints, over the ids the star formatted
-    once, and no Fraction interval is computed.  :meth:`_shift` is the
-    one way in: it takes a star edge and an int count of units, both
-    checked and read by the runner :func:`realize_word` builds on the
-    same unit, so the builder neither checks an edge nor converts an
-    amount.  ``to_plmap`` converts back to Fractions once per piece.
+    once, and no Fraction interval is computed.  :meth:`_shift` is the one
+    way in: it takes a star edge and an int count of units, both checked
+    and read by the runner :func:`realize_word` builds on the same unit,
+    so the builder neither checks an edge nor converts an amount.
+    ``to_plmap`` converts back to Fractions once per piece.
 
-    An edge move of amount d > 0 takes the segments holding the last d of
-    mass of the parent's region and puts them, in order, in front of the
-    child's; d < 0 moves the child's first -d back behind the parent's.
-    Every star edge joins the end of its parent's region to the start of
-    its child's, except at the center, which meets every ray at pool
-    coordinate 0: its queue is stored reversed, from pool coordinate
-    ``center_mass`` down to 0, so the same rule holds there.
+    An edge move of amount d > 0 hands the last d of mass of the parent's
+    region to the start of the child's; d < 0 hands the child's first -d
+    back behind the parent's.  A move that takes more than the donor
+    region's count is refused.  Inside a ray the parent's region ends
+    where the child's starts, so the move only shifts the boundary between
+    them: two counts change and no segment moves.  The center meets every
+    ray at pool coordinate 0; its list is stored reversed, from pool
+    coordinate ``center_mass`` down to 0, so a move on the edge from the
+    center to a ray's first cell takes segments off the back of the pool's
+    list and puts them in front of the ray's, or the other way round.
     """
 
     def __init__(self, star: RayStar, unit: int):
@@ -607,24 +618,42 @@ class _PLBuilder:
         dens.update(m.denominator for m in star.tails if not is_inf(m))
         self.unit = u = math.lcm(unit, *dens)
         self.intervals = star._layout(partial(_in_units, unit=u))
-        self.queues = {
-            v: [(loc, lo, hi - lo, 1)]
-            for v, (loc, lo, hi) in self.intervals.items()
-        }
-        center = star.center_id()
-        self.queues[center] = _reverse(self.queues[center])
+        self.mass = {v: hi - lo for v, (_, lo, hi) in self.intervals.items()}
+        # locations 0..r-1 are the rays, each its whole length at first;
+        # r is the pool, stored reversed
+        ray_ids = star._ray_ids
+        self.lists = [
+            [(i, 0, self.intervals[ids[-1]][2], 1)]
+            for i, ids in enumerate(ray_ids)
+        ]
+        self.lists.append(
+            [(star.ray_count, 0, self.mass[star.center_id()], -1)]
+        )
+        # each ray's first cell, the child of the one edge into its list
+        self.first = {ids[0]: i for i, ids in enumerate(ray_ids)}
 
     def _shift(self, edge, d: int):
-        """Move ``d`` units across a star edge by the queue rule above."""
+        """Move ``d`` units across a star edge by the rule above."""
+        if not d:
+            return
         parent, child = edge
-        q = self.queues
-        if d > 0:
-            _join(q[child], _take_back(q[parent], d), True)
-        elif d < 0:
-            _join(q[parent], _take_front(q[child], -d), False)
+        mass = self.mass
+        if mass[parent if d > 0 else child] < abs(d):
+            raise RealizationError(
+                "move takes more mass than the region holds"
+            )
+        mass[parent] -= d
+        mass[child] += d
+        ray = self.first.get(child)
+        if ray is not None:
+            lists = self.lists
+            if d > 0:
+                _join(lists[ray], _take_back(lists[-1], d), True)
+            else:
+                _join(lists[-1], _take_front(lists[ray], -d), False)
 
     def to_plmap(self) -> PLMap:
-        """Lay every region out at unit density and invert.
+        """Lay every location out at unit density and invert.
 
         Once the word has restored every block mass, each fixed region
         holds exactly its reference mass, so the map is measure-preserving
@@ -632,29 +661,29 @@ class _PLBuilder:
         tails.
         """
         star = self.star
-        laid = [[] for _ in range(star.ray_count + 1)]
+        mass = self.mass
         ends = {}
         for v, (loc, lo, hi) in self.intervals.items():
-            segs = self.queues[v]
-            if v == star.center_id():
-                segs = _reverse(segs)
-            x = lo
-            for (dst, start, m, d) in segs:
-                # q = h^{-1} on [x, x + m): the segment read at unit speed
-                front = start if d > 0 else start + m
-                laid[loc].append((x, x + m, dst, front - d * x, d))
-                x += m
-            if x != hi:
+            if mass[v] != hi - lo:
                 raise RealizationError(
                     "normalization requires restored block masses"
                 )
             ends[loc] = hi
-        # the inverse of x -> a + s * x (s = +-1) is y -> -a * s + s * y
-        inverse = [
-            (dst, *_image(a, s, lo, hi), loc, -a * s, s)
-            for loc, q in enumerate(laid)
-            for (lo, hi, dst, a, s) in _merge_pieces(q)
-        ]
+        inverse = []
+        for loc, segs in enumerate(self.lists):
+            if loc == star.ray_count:
+                segs = _reverse(segs)
+            laid, x = [], 0
+            for (dst, start, m, d) in segs:
+                # q = h^{-1} on [x, x + m): the segment read at unit speed
+                front = start if d > 0 else start + m
+                laid.append((x, x + m, dst, front - d * x, d))
+                x += m
+            # the inverse of x -> a + s * x (s = +-1) is y -> -a * s + s * y
+            inverse += [
+                (dst, *_image(a, s, lo, hi), loc, -a * s, s)
+                for (lo, hi, dst, a, s) in _merge_pieces(laid)
+            ]
         inverse.sort(key=lambda p: (p[0], p[1]))
         reached = {loc: 0 for loc in ends}
         for (src, lo, hi, *_) in inverse:
@@ -693,16 +722,21 @@ def realize_word(star: RayStar, word: MoveWord) -> PLMap:
         raise TreeMismatchError("word does not live on the star's tree")
     builder = _PLBuilder(star, _word_unit(word))
     # the runner shares the builder's unit and reads each move once before
-    # the builder sees it, so a shuffle is decomposed on the runner's ints
-    for runner, mv, read in _walk(word, builder.unit):
-        # a balloon move, the common case, is known by its exact type
-        if type(mv) is BalloonMove or not isinstance(mv, Rearrange):
-            builder._shift(mv.edge, read)
-        else:
-            new = {v: runner.blocks[v] for v in mv.support}
-            anchor = tree.top(mv.support)
-            for edge, d in _rearrangement_moves(tree, anchor, read, new):
-                builder._shift(edge, d)
+    # the builder sees it, so a shuffle is decomposed on the runner's ints;
+    # a move the builder refuses goes back into the walk to get its index
+    walk = _walk(word, builder.unit)
+    for runner, mv, read in walk:
+        try:
+            # a balloon move, the common case, is known by its exact type
+            if type(mv) is BalloonMove or not isinstance(mv, Rearrange):
+                builder._shift(mv.edge, read)
+            else:
+                new = {v: runner.blocks[v] for v in mv.support}
+                anchor = tree.top(mv.support)
+                for edge, d in _rearrangement_moves(tree, anchor, read, new):
+                    builder._shift(edge, d)
+        except RealizationError as e:
+            walk.throw(e)
     _require_preserving(word, _replay(word))
     return builder.to_plmap()
 

@@ -341,19 +341,20 @@ def _walk(word: MoveWord, unit: Optional[int] = None):
     word's :func:`_word_unit` by default), yielding ``(runner, move,
     read)`` for each move in order, with what :meth:`_Runner.apply` read
     for it.  This is the one walk of a given word: an error raised by a
-    move carries its index in ``move_index``.  Once every move has been
-    applied the runner is kept as the word's replay; a walk that raises or
-    is abandoned keeps nothing.  A frozen dataclass leaves its instance
-    dict writable, and the kept end is no field, so equality, hashing and
-    ``repr`` do not see it."""
+    move, or thrown back into the walk (``throw``) by a consumer the move
+    failed in, carries its index in ``move_index``.  Once every move has
+    been applied the runner is kept as the word's replay; a walk that
+    raises or is abandoned keeps nothing.  A frozen dataclass leaves its
+    instance dict writable, and the kept end is no field, so equality,
+    hashing and ``repr`` do not see it."""
     runner = _Runner(word.base, unit or _word_unit(word))
     for i, move in enumerate(word.moves):
         try:
             read = runner.apply(move)
+            yield runner, move, read
         except Exception as e:
             e.move_index = i
             raise
-        yield runner, move, read
     vars(word)["_end"] = runner
 
 

@@ -518,10 +518,17 @@ REPORTS = {
     },
 }
 
-# an abbreviated option is refused by the parser, with its usage text
+# an abbreviated option is refused by its command's parser, with the
+# command's usage text
 USAGE_ERRORS = {
-    "verify_abbreviated_seed": "endflow: error: unrecognized arguments: --see 1",
-    "oracle_abbreviated_cuts": "endflow: error: unrecognized arguments: --cut 2",
+    "verify_abbreviated_seed": (
+        "usage: endflow verify ",
+        "endflow verify: error: unrecognized arguments: --see 1",
+    ),
+    "oracle_abbreviated_cuts": (
+        "usage: endflow oracle ",
+        "endflow oracle: error: unrecognized arguments: --cut 2",
+    ),
 }
 
 
@@ -537,7 +544,9 @@ def test_invalid_input_exits_2_without_traceback(invalid_files, case, argv):
         assert proc.stderr == LOAD_FAULTS[case] + "\n"
     elif case in USAGE_ERRORS:
         assert proc.stdout == ""
-        assert proc.stderr.endswith("\n" + USAGE_ERRORS[case] + "\n")
+        usage, error = USAGE_ERRORS[case]
+        assert proc.stderr.startswith(usage)
+        assert proc.stderr.endswith("\n" + error + "\n")
     elif argv[0] == "validate":
         report = json.loads(proc.stdout)
         assert report["valid"] is False

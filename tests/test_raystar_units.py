@@ -1,16 +1,21 @@
-"""realize_word's integer region queues, checked two ways.
+"""realize_word's integer segment lists and region counts, checked
+three ways.
 
-* Against the builder they replaced: ``_FractionBuilder`` below is that
-  builder, its queue rules run on ``Fraction`` starts and masses, each
-  shuffle decomposed by ``shuffle_reference._ref_rearrangement_moves``, a
-  Fraction copy of the package's decomposition order.  ``realize_word``
-  must give the same pieces, compared by the ``repr`` of every field, or
-  fail with the same error, so a value that changes type or lands one
-  unit off shows.
+* Against a builder with one queue per region: ``_FractionBuilder``
+  below moves segments across every edge, on ``Fraction`` starts and
+  masses, each shuffle decomposed by
+  ``shuffle_reference._ref_rearrangement_moves``, a Fraction copy of the
+  package's decomposition order.  ``realize_word`` must give the same
+  pieces, compared by the ``repr`` of every field, or fail with the same
+  error at the same ``move_index``, so a value that changes type or lands
+  one unit off shows.
+* By kernel calls: segments move only across the center, so the segment
+  kernels run once per nonzero step on a center edge and never for a
+  move inside a ray.
 * By call graph: cProfile records which functions each function calls,
   and the queue kernels must call nothing in ``fractions``.  A move's
   amount is read once, by the runner that checks it, and the builder
-  shifts by that int; a Fraction that creeps back into the queues fails
+  shifts by that int; a Fraction that creeps back into the lists fails
   here, where a timing could not tell it from noise.
 """
 
@@ -246,7 +251,7 @@ def _fraction_realize(star: RayStar, word: MoveWord) -> PLMap:
         raise TreeMismatchError("word does not live on the star's tree")
     builder = _FractionBuilder(star)
     runner = _Runner(word.base)
-    for mv in word.moves:
+    for i, mv in enumerate(word.moves):
         replaced = runner.apply(mv)
         edge_moves = [mv]
         if isinstance(mv, Rearrange):
@@ -254,8 +259,12 @@ def _fraction_realize(star: RayStar, word: MoveWord) -> PLMap:
             edge_moves = _ref_rearrangement_moves(
                 tree, anchor, replaced, mv.masses
             )
-        for sub in edge_moves:
-            builder.apply_edge_move(sub)
+        try:
+            for sub in edge_moves:
+                builder.apply_edge_move(sub)
+        except RealizationError as e:
+            e.move_index = i
+            raise
     if not _preserves(word, runner):
         raise ChargeUndefinedError("only measure-preserving words realize")
     return builder.to_plmap()
@@ -344,6 +353,25 @@ def _scaled_base(rng, star, lighter):
     return MeasureState(tree, blocks, dict(tree.tails))
 
 
+def _overdraw_word(rng, star, edge, amount, heavier):
+    """A word based off the star's measure: ``heavier`` (a node id) holds
+    three times its mass in the base, so the runner lets ``amount`` across
+    ``edge`` take twice the star's mass of it, which the builder refuses.
+    A transfer between two infinite ends goes first, so the refused move
+    is move 1, and the move is undone after it."""
+    tree = star.to_tree()
+    blocks, tails = dict(tree.weights), dict(tree.tails)
+    for masses in (blocks, tails):
+        if heavier in masses:
+            masses[heavier] *= 3
+    src, dst = _infinite_ends(star)[:2]
+    first = route(tree, src, dst, small_fraction(rng, 3, 7))[0]
+    moves = (first, BalloonMove(edge, amount), BalloonMove(edge, -amount))
+    back = BalloonMove(first.edge, -first.amount)
+    base = MeasureState(tree, blocks, tails)
+    return MoveWord(tree, base, moves + (back,))
+
+
 def _corpus():
     rng = Random("raystar-units")
     for k in range(4):
@@ -378,6 +406,17 @@ def _corpus():
             shuffles=rng.randint(0, 4),
         )
         yield f"random{k}", star, word
+    # a move inside a ray that overdraws an interior cell, and one that
+    # overdraws a finite tail: the builder's counts refuse both
+    star = _star(rng, 3, 4, finite={2})
+    cell = star.cell_id(0, 1)
+    yield "overdraw_cell", star, _overdraw_word(
+        rng, star, (cell, star.cell_id(0, 2)), 2 * star.cells[0][1], cell
+    )
+    end = star.end_id(2)
+    yield "overdraw_tail", star, _overdraw_word(
+        rng, star, (star.cell_id(2, 3), end), -2 * star.tails[2], end
+    )
 
 
 CORPUS = list(_corpus())
@@ -388,7 +427,7 @@ def _outcome(realize, star, word):
     try:
         h = realize(star, word)
     except RealizationError as e:
-        return (type(e).__name__, str(e))
+        return (type(e).__name__, str(e), getattr(e, "move_index", None))
     return [tuple(repr(getattr(p, f)) for f in FIELDS) for p in h.pieces]
 
 
@@ -406,9 +445,25 @@ def test_corpus_holds_what_it_names():
         for name, star, word in CORPUS
     }
     assert all(
-        ok for name, ok in realized.items() if not name.startswith("random_")
+        ok
+        for name, ok in realized.items()
+        if not name.startswith(("random_", "overdraw_"))
     )
-    assert not all(realized.values()), "no word ran a queue dry"
+    assert not all(
+        ok for name, ok in realized.items() if name.startswith("random_")
+    ), "no random word ran a region dry"
+    # each word based off the star's measure is refused at its move 1
+    overdrawn = {
+        name: _outcome(realize_word, star, word)
+        for name, star, word in CORPUS
+        if name.startswith("overdraw_")
+    }
+    refused = (
+        "RealizationError", "move takes more mass than the region holds", 1
+    )
+    assert overdrawn == {
+        "overdraw_cell": refused, "overdraw_tail": refused
+    }
     amounts = [
         mv.amount
         for name, _, word in CORPUS
@@ -652,6 +707,66 @@ def test_a_kept_breakpoint_changes_no_repr_or_error_text():
     assert "_int_view" in vars(fresh)
     assert repr(fresh) == shown
     assert fresh != PLMap(star, h.pieces)  # equality stays identity
+
+
+# -- segments move only across the center -------------------------------------
+
+
+def _kernel_calls(monkeypatch, star, word):
+    """Realize the word; return the nonzero steps on edges out of the
+    center that the builder shifted, and the segment kernels' calls."""
+    calls, steps = {}, []
+    for name in ("_take_front", "_take_back"):
+        fn = getattr(raystar, name)
+        monkeypatch.setattr(raystar, name, _counting(calls, name, fn))
+    shift = _PLBuilder._shift
+
+    def noted(builder, edge, d):
+        if d and edge[0] == star.center_id():
+            steps.append((edge, d))
+        return shift(builder, edge, d)
+
+    monkeypatch.setattr(_PLBuilder, "_shift", noted)
+    realize_word(star, word)
+    return steps, sum(calls.values())
+
+
+def test_segments_move_only_across_the_center(monkeypatch):
+    """Balloon moves and shuffle steps alike: a move inside a ray only
+    shifts two counts, and each nonzero step on a center edge takes its
+    segments once."""
+    rng = Random("raystar-center")
+    star = _star(rng, 4, 32)
+    tree = star.to_tree()
+    word = random_preserving_word(
+        rng, tree, base_state(tree), transfers=6, shuffles=4
+    )
+    assert any(isinstance(mv, Rearrange) for mv in word.moves)
+    steps, kernels = _kernel_calls(monkeypatch, star, word)
+    assert kernels == len(steps) > 0
+
+
+def test_a_word_inside_the_rays_moves_no_segment(monkeypatch):
+    rng = Random("raystar-inside")
+    star = _star(rng, 3, 4)
+    tree = star.to_tree()
+    cells = [star.cell_id(0, k) for k in range(4)]
+    x = min(star.cells[0]) / 2
+    moves = [BalloonMove(e, x) for e in zip(cells, cells[1:])]
+    moves += [BalloonMove(mv.edge, -x) for mv in reversed(moves)]
+    support = frozenset(star.cell_id(1, k) for k in (1, 2, 3))
+    mu = base_state(tree)
+    before = {v: mu.blocks[v] for v in support}
+    total = sum(before.values())
+    shuffled = dict.fromkeys(support, total / 6)
+    shuffled[star.cell_id(1, 2)] = total * 2 / 3
+    moves += [Rearrange(support, shuffled), Rearrange(support, before)]
+    word = MoveWord(tree, mu, tuple(moves))
+    steps, kernels = _kernel_calls(monkeypatch, star, word)
+    assert (steps, kernels) == ([], 0)
+    assert realize_word(star, word).pieces == realize_word(
+        star, MoveWord(tree, mu, ())
+    ).pieces
 
 
 # -- call-graph gate ----------------------------------------------------------
