@@ -365,9 +365,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args, extra = _parser().parse_known_args(argv)
     if extra:
-        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        # an argument before the command's name was the top level's to read
+        head = argv[: argv.index(args.command)]
+        report = _parser() if any(a in head for a in extra) else args.parser
+        report.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.fn(args)
     except InfeasibleTransferError as e:

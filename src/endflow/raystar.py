@@ -44,10 +44,9 @@ every piece has unit slope and all rational data stay small.
 The end charge of the realized map is then recomputed from the raw
 definition - the masses of ``C - h(C)`` and ``h(C) - C`` for a tail
 region ``C`` - by exact interval arithmetic, giving an oracle fully
-independent of the flux accounting.  A realized map keeps its last
-breakpoint once scanned, so the cuts beyond it are read without another
-scan of the pieces, and it keeps its pieces read into ints once
-(:func:`_int_view`): the definition clips, subtracts and measures each
+independent of the flux accounting.  A map reads its pieces into ints
+once, when it is made, with its last breakpoint (:class:`PLMap`), and is
+never written again: the definition clips, subtracts and measures each
 tail on those ints with the same normalized-set helpers the public
 interval-set functions run on Fractions, normalizes each image once and
 makes one Fraction per end.
@@ -56,7 +55,7 @@ makes one Fraction per end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Dict, List, Tuple
@@ -289,10 +288,51 @@ class Piece:
 
 @dataclass(frozen=True, eq=False)
 class PLMap:
-    """Finite list of affine pieces forming a bijection of the star."""
+    """Finite list of affine pieces forming a bijection of the star.
+
+    The map reads its pieces into ints once, when it is made, on its own
+    star.  ``unit`` is ``_base`` times the lcm of the slopes'
+    denominators, where ``_base`` is the lcm of the denominators of the
+    pieces' ends and offsets and of the finite ray lengths, so the image
+    a + s * x of a whole number of units 1/_base is a whole number of
+    units 1/unit.  ``_by_src`` holds the pieces in units by source
+    location (:func:`_by_src`; a slope stays an int when it is integral,
+    and a realized map's are +-1), ``_rays`` each ray's End leaf id and
+    length in units, and ``_last_breakpoint`` the largest finite piece
+    boundary on any ray.  They are declared fields that ``__init__``
+    does not take, ``repr`` does not show and nothing writes again;
+    equality is identity."""
 
     star: RayStar
     pieces: Tuple[Piece, ...]
+    unit: int = field(init=False, repr=False, compare=False)
+    _base: int = field(init=False, repr=False, compare=False)
+    _by_src: dict = field(init=False, repr=False, compare=False)
+    _rays: list = field(init=False, repr=False, compare=False)
+    _last_breakpoint: Fraction = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        star, rays = self.star, self.star.ray_count
+        pieces = list(self.pieces)
+        lengths = [star.ray_length(i) for i in range(rays)]
+        xs = [x for p in pieces for x in (p.lo, p.hi, p.a)] + lengths
+        base = math.lcm(*(x.denominator for x in xs if not is_inf(x)))
+        unit = base * math.lcm(*(p.slope.denominator for p in pieces))
+        read = partial(_in_units, unit=unit)
+        bounds = [x for p in pieces if p.src < rays for x in (p.lo, p.hi)]
+        last = max(x for x in [Zero, *bounds] if not is_inf(x))
+        keep = partial(object.__setattr__, self)
+        keep("unit", unit)
+        keep("_base", base)
+        keep("_by_src", _by_src(
+            (p.src, read(p.lo), read(p.hi), p.dst, read(p.a),
+             p.slope.numerator if p.slope.denominator == 1 else p.slope)
+            for p in pieces
+        ))
+        keep("_rays", [
+            (star.end_id(i), read(m)) for i, m in enumerate(lengths)
+        ])
+        keep("_last_breakpoint", last)
 
     def apply(self, loc: int, x: Fraction) -> Tuple[int, Fraction]:
         for p in self.pieces:
@@ -301,22 +341,8 @@ class PLMap:
         raise ValueError(f"point ({loc}, {x}) outside the map's domain")
 
     def last_breakpoint(self) -> Fraction:
-        """Largest finite piece boundary on any ray.  The pieces are
-        scanned once and the value kept in the instance dict, which a
-        frozen dataclass leaves writable; it is no field, so ``repr``
-        does not see it, and equality is identity."""
-        kept = vars(self).get("_last_breakpoint")
-        if kept is None:
-            kept = Zero
-            rays = self.star.ray_count
-            for p in self.pieces:
-                if p.src >= rays:
-                    continue
-                kept = max(kept, p.lo)
-                if not is_inf(p.hi):
-                    kept = max(kept, p.hi)
-            vars(self)["_last_breakpoint"] = kept
-        return kept
+        """Largest finite piece boundary on any ray."""
+        return self._last_breakpoint
 
     def eventual_shift(self, ray: int) -> Fraction:
         """Translation constant on the deep part of a ray (measure
@@ -338,7 +364,8 @@ class PLMap:
 # clipping and merging need no special case for infinite right ends.  The
 # helpers below that take a normalized set are generic in the number type:
 # the public functions run them on Fractions after normalizing, and
-# :func:`charge_from_definition` runs them on a map's int view.
+# :func:`charge_from_definition` runs them on the ints a map read its
+# pieces into when it was made.
 
 
 def _outside(lo, hi, x0, x1):
@@ -748,65 +775,31 @@ def oracle_cuts(h: PLMap, count: int) -> List[Fraction]:
     return [first + 7 * k for k in range(count)]
 
 
-def _int_view(h: PLMap, star: RayStar, cut: Fraction):
-    """``(star, base, unit, rays, pieces)``: the map and the star's rays in
-    ints counting units 1/unit, for :func:`charge_from_definition`.
-
-    ``pieces`` are the map's pieces by source location (:func:`_by_src`)
-    and ``rays`` each ray's End leaf id and length.  ``base`` is the lcm
-    of the denominators of the pieces' ends and offsets, of the finite ray
-    lengths and of every cut read so far, and ``unit`` is ``base`` times
-    the lcm of the slopes' denominators, so the image a + s * x of a whole
-    number of units 1/base is a whole number of units 1/unit.  A slope is
-    kept as an int when it is integral (a realized map's are +-1).  The
-    pieces are read once per map and star; a cut that ``base`` does not
-    cover scales the kept view up.  The view is kept in the map's instance
-    dict, as its last breakpoint is: it is no field, so ``repr`` and
-    equality do not see it."""
-    view = vars(h).get("_int_view")
-    if view is None or view[0] is not star:
-        pieces = [(p.src, p.lo, p.hi, p.dst, p.a, p.slope) for p in h.pieces]
-        lengths = [star.ray_length(i) for i in range(star.ray_count)]
-        xs = [x for (_, lo, hi, _, a, _) in pieces for x in (lo, hi, a)]
-        base = math.lcm(
-            *(x.denominator for x in xs + lengths if not is_inf(x))
-        )
-        unit = base * math.lcm(*(p[5].denominator for p in pieces))
-        read = partial(_in_units, unit=unit)
-        rays = [(star.end_id(i), read(m)) for i, m in enumerate(lengths)]
-        pieces = _by_src(
-            (src, read(lo), read(hi), dst, read(a),
-             s.numerator if s.denominator == 1 else s)
-            for (src, lo, hi, dst, a, s) in pieces
-        )
-        view = (star, base, unit, rays, pieces)
-    star, base, unit, rays, pieces = view
-    k = cut.denominator // math.gcd(base, cut.denominator)
-    if k > 1:
-        def scale(x):
-            return x if is_inf(x) else x * k
-
-        rays = [(end, scale(m)) for end, m in rays]
-        pieces = {
-            src: [(lo * k, scale(hi), dst, a * k, s) for lo, hi, dst, a, s in q]
-            for src, q in pieces.items()
-        }
-        view = (star, base * k, unit * k, rays, pieces)
-    vars(h)["_int_view"] = view
-    return view
-
-
 def charge_from_definition(star: RayStar, h: PLMap, cut) -> EndCharge:
     """End charge read off the raw definition: for each ray end, with C
     the tail beyond the cut, mass(C - h(C)) - mass(h(C) - C).  The sets
-    are computed on the map's int view (:func:`_int_view`), the image of
-    C is normalized once, and each end's value is made a Fraction once."""
+    are computed on the ints the map read its pieces into when it was
+    made, the image of C is normalized once, and each end's value is made
+    a Fraction once.  A cut that is no whole number of units 1/_base is
+    read on a finer unit, scaled in a local copy; the map keeps its own.
+    A star whose tree is not the map's is refused."""
+    if star.to_tree() != h.star.to_tree():
+        raise TreeMismatchError("the map does not live on the star's tree")
     T = as_frac(cut)
     if T <= h.last_breakpoint():
         raise CutTooShallowError(
             f"cut {T} not beyond the last breakpoint {h.last_breakpoint()}"
         )
-    _, _, unit, rays, pieces = _int_view(h, star, T)
+    unit, rays, pieces = h.unit, h._rays, h._by_src
+    k = T.denominator // math.gcd(h._base, T.denominator)
+    if k > 1:
+        # an int count x of units 1/unit is x * k units 1/(unit * k)
+        unit, scale = unit * k, partial(_in_units, unit=k)
+        rays = [(end, scale(m)) for end, m in rays]
+        pieces = {
+            src: [(lo * k, scale(hi), dst, a * k, s) for lo, hi, dst, a, s in q]
+            for src, q in pieces.items()
+        }
     t = T.numerator * (unit // T.denominator)
     values = {}
     for i, (end, length) in enumerate(rays):

@@ -35,6 +35,7 @@ from .measure import base_state, j_value, mass, mu_equivalent
 from .morphism import check_diagram, push_charge, push_measure
 from .raystar import (
     charge_from_definition,
+    compare_oracle,
     iset_mass,
     iset_subtract,
     oracle_cuts,
@@ -284,6 +285,27 @@ def suite_oracle_1d(rng: Random) -> Iterator[str]:
         yield "interval difference identity failed"
 
 
+def suite_section_oracle(rng: Random) -> Iterator[str]:
+    """Flux charge equals the set-difference charge on words the section
+    builds, not drawn move by move: a section of a drawn charge, the
+    kernel of a drawn word's factorization and that word retracted at
+    tau = k/8, on a star of up to 5 rays of up to 5 cells."""
+    star = random_star(rng, max_rays=5, max_depth=5)
+    tree = star.to_tree()
+    mu = base_state(tree)
+    a = random_valid_charge(rng, tree, mu)
+    w = random_preserving_word(rng, tree, mu)
+    tau = Fraction(rng.randint(1, 7), 8)
+    words = {
+        "section": build_section(tree, mu, a),
+        "kernel": factorize(w)[0],
+        f"retract at {tau}": retract(w, tau),
+    }
+    for name, word in words.items():
+        if not compare_oracle(star, word):
+            yield f"{name} word: the definition disagrees"
+
+
 def suite_feasibility_sentinel(rng: Random) -> Iterator[str]:
     """No InfeasibleTransferError across valid random sections."""
     tree = random_tree(rng, max_depth=rng.randint(2, 5), max_nodes=40)
@@ -326,6 +348,7 @@ SUITES: Dict[str, Callable[[Random], Iterator[str]]] = {
     "pushforward": suite_pushforward,
     "factorization": suite_factorization,
     "oracle_1d": suite_oracle_1d,
+    "section_oracle": suite_section_oracle,
     "feasibility_sentinel": suite_feasibility_sentinel,
     "truncation": suite_truncation,
 }

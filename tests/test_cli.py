@@ -422,6 +422,8 @@ INVALID_INPUTS = {
         "validate", "--tree", "{tree}", "--word", "{overdraw}"
     ],
     "verify_abbreviated_seed": ["verify", "--see", "1"],
+    "unknown_option_before_command": ["--bogus", "verify"],
+    "unknown_option_after_command": ["verify", "--bogus"],
     "oracle_abbreviated_cuts": [
         "oracle", "--star", "{star}", "--word", "{empty_word}", "--cut", "2"
     ],
@@ -518,12 +520,21 @@ REPORTS = {
     },
 }
 
-# an abbreviated option is refused by its command's parser, with the
-# command's usage text
+# an abbreviated or unknown option is refused by the parser that read
+# it, with that parser's usage text: the command's after its name, the
+# top level's before it
 USAGE_ERRORS = {
     "verify_abbreviated_seed": (
         "usage: endflow verify ",
         "endflow verify: error: unrecognized arguments: --see 1",
+    ),
+    "unknown_option_before_command": (
+        "usage: endflow [-h]",
+        "endflow: error: unrecognized arguments: --bogus",
+    ),
+    "unknown_option_after_command": (
+        "usage: endflow verify ",
+        "endflow verify: error: unrecognized arguments: --bogus",
     ),
     "oracle_abbreviated_cuts": (
         "usage: endflow oracle ",

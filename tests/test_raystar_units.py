@@ -559,12 +559,12 @@ def _request_docs(finite=()):
 
 def _oracle_request(star_doc, word_doc, pieces=tuple):
     """Load, realize, read the flux charge and the definition at 3 cuts;
-    the realized map's pieces are handed to ``pieces`` to hold."""
+    the map read is made from the realized map's pieces, handed to
+    ``pieces`` to hold."""
     star = star_from_json(star_doc)
     tree = star.to_tree()
     word = word_from_json(tree, base_state(tree), word_doc)
-    h = realize_word(star, word)
-    object.__setattr__(h, "pieces", pieces(h.pieces))
+    h = PLMap(star, pieces(realize_word(star, word).pieces))
     want = charge_of_word(word)
     for cut in oracle_cuts(h, 3):
         assert charge_from_definition(star, h, cut) == want
@@ -609,26 +609,39 @@ class _CountedPieces(tuple):
         return super().__iter__()
 
 
-def test_an_oracle_request_scans_for_the_last_breakpoint_once(monkeypatch):
-    monkeypatch.setattr(_CountedPieces, "readers", [])
-    _oracle_request(*_request_docs(), pieces=_CountedPieces)
-    readers = _CountedPieces.readers
-    assert readers.count("last_breakpoint") == 1
-    # the definition reads the pieces into ints once, for 4 rays and 3 cuts
-    assert readers.count("_int_view") == 1
-
-
-def test_the_pieces_are_read_into_ints_once_per_map(monkeypatch):
+def test_a_map_reads_its_pieces_once_when_it_is_made(monkeypatch):
     monkeypatch.setattr(_CountedPieces, "readers", [])
     star, h = _oracle_request(*_request_docs(finite=(2,)), pieces=_CountedPieces)
-    # the request checked 3 cuts against the flux charge; more cuts, the
-    # last one off the view's unit, which scales the view up
+    kept = dict(vars(h))
+    # the request checked 3 cuts against the flux charge; the breakpoint,
+    # more cuts, and one off the map's unit, read on a finer one
     want = charge_from_definition(star, h, oracle_cuts(h, 1)[0])
     odd = h.last_breakpoint() + Fraction(1, 9973)
     for cut in oracle_cuts(h, 6) + [odd]:
         assert charge_from_definition(star, h, cut) == want
-    assert vars(h)["_int_view"][1] % 9973 == 0
-    assert sorted(_CountedPieces.readers) == ["_int_view", "last_breakpoint"]
+    assert h.unit % 9973 != 0
+    assert _CountedPieces.readers == ["__post_init__"]
+    assert vars(h) == kept
+
+
+def test_a_map_is_read_on_its_own_tree_only():
+    """A star of other ray lengths would read the map's pieces against
+    the wrong tails."""
+    star, h = _oracle_request(*_request_docs(finite=(2,)))
+    cut = oracle_cuts(h, 1)[0]
+    longer = RayStar(
+        star.center_mass,
+        star.cells,
+        tuple(m if is_inf(m) else m + 1 for m in star.tails),
+    )
+    with pytest.raises(TreeMismatchError):
+        charge_from_definition(longer, h, cut)
+    # an equal star read from the same documents is the same tree
+    same = star_from_json(star_to_json(star))
+    assert same is not star
+    assert charge_from_definition(same, h, cut) == charge_from_definition(
+        star, h, cut
+    )
 
 
 def test_a_definition_read_normalizes_each_set_once_per_ray(monkeypatch):
@@ -700,11 +713,9 @@ def test_a_kept_breakpoint_changes_no_repr_or_error_text():
         f"cut {scanned} not beyond the last breakpoint {scanned}"
     ] * 2
     assert fresh.last_breakpoint() == scanned
-    assert "_last_breakpoint" in vars(fresh)
     assert repr(fresh) == shown
-    # nor does the int view the definition reads
+    # nor do the ints the definition reads
     charge_from_definition(star, fresh, scanned + 1)
-    assert "_int_view" in vars(fresh)
     assert repr(fresh) == shown
     assert fresh != PLMap(star, h.pieces)  # equality stays identity
 

@@ -148,3 +148,25 @@ def test_region_draws_do_not_depend_on_the_hash_seed():
         logs.append(proc.stdout)
     assert logs[0] != "[]\n"
     assert logs[0] == logs[1]
+
+
+def test_the_section_oracle_suite_sees_a_wrong_definition(monkeypatch):
+    """The suite holds on its cases, and fails each of its three words
+    when the definition reads one unit of charge off."""
+    from endflow import raystar
+
+    assert run_suite("section_oracle", 0, 20)["failures"] == []
+    read = raystar.charge_from_definition
+
+    def off(star, h, cut):
+        got = read(star, h, cut)
+        end = star.end_id(0)
+        return type(got)(got.tree, {**got.values, end: got[end] + 1})
+
+    monkeypatch.setattr(raystar, "charge_from_definition", off)
+    failures = run_suite("section_oracle", 0, 2)["failures"]
+    assert [f.split()[:3] for f in failures] == [
+        ["case", f"{i}:", name]
+        for i in range(2)
+        for name in ("section", "kernel", "retract")
+    ]
