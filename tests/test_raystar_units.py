@@ -609,7 +609,17 @@ class _CountedPieces(tuple):
         return super().__iter__()
 
 
-def test_a_map_reads_its_pieces_once_when_it_is_made(monkeypatch):
+def test_an_oracle_request_scans_for_the_last_breakpoint_once(monkeypatch):
+    monkeypatch.setattr(_CountedPieces, "readers", [])
+    _, h = _oracle_request(*_request_docs(), pieces=_CountedPieces)
+    breakpoint_ = h.last_breakpoint()
+    assert h.last_breakpoint() == breakpoint_
+    # the map scanned its pieces when it was made, for the breakpoint and
+    # for the ints the definition read at 3 cuts on 4 rays
+    assert _CountedPieces.readers == ["__post_init__"]
+
+
+def test_the_pieces_are_read_into_ints_once_per_map(monkeypatch):
     monkeypatch.setattr(_CountedPieces, "readers", [])
     star, h = _oracle_request(*_request_docs(finite=(2,)), pieces=_CountedPieces)
     kept = dict(vars(h))
